@@ -37,7 +37,7 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== compileall =="
-python -m compileall -q src
+python -m compileall -q src benchmarks perfbench
 
 echo "== pytest =="
 # (No intermediate array: expanding an empty array under `set -u` breaks

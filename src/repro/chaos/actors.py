@@ -38,7 +38,7 @@ import struct
 import threading
 import time
 
-from repro.telemetry.bus import pid_alive
+from repro.cluster.documents import pid_alive
 
 #: The corruption modes :meth:`SpoolCorruptor.corrupt_file` draws from.
 CORRUPTION_MODES = ("truncate", "tear", "garbage", "non_event")

@@ -1,9 +1,9 @@
 """A driveable in-process serving stack plus a ledgered open-loop driver.
 
-The chaos suite, the soak lane, and the benchmark chaos arm all need the
-same thing: the real serving data path (warm replica pool -> dynamic
-batcher -> admission controller -> endpoint metrics) assembled in-process
-where fault actors can reach its moving parts, and an open-loop arrival
+The chaos suite and the soak lane both need the same thing: the real
+serving data path (warm replica pool -> dynamic batcher -> admission
+controller -> endpoint metrics) assembled in-process where fault actors
+can reach its moving parts, and an open-loop arrival
 driver whose per-request accounting feeds a
 :class:`~repro.chaos.invariants.ResponseLedger`.  This module is that
 shared harness -- the HTTP front-end is deliberately absent (the sharded

@@ -251,15 +251,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.registry import default_registry
     from repro.serve.server import run_server
 
-    alert_kwargs = {
-        "alerts": not args.no_alerts,
-        "alert_rules": _load_alert_rules(args.alert_rules),
-        "alert_webhook": args.alert_webhook,
-        "alert_routes": _load_alert_routes(args.alert_routes),
-        "probe_interval_s": args.probe_interval_s,
-        "tracing": not args.no_trace,
-        "trace_sample": args.trace_sample,
-    }
     overrides = {
         "threads": args.threads,
         "max_batch": args.max_batch,
@@ -274,7 +265,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.policy is not None:
         overrides["policy"] = args.policy
     registry = default_registry(models=args.models or ["resnet18"], **overrides)
-    spool_budget_bytes = int(args.spool_budget_mb * 1024 * 1024)
+    # One keyword set for every topology: a single server, the --shards
+    # fork and a --federate member all run with the same settings.
+    server_kwargs = {
+        "scale": args.scale,
+        "fork_workers": args.fork_workers,
+        "host": args.host,
+        "port": args.port,
+        "telemetry_dir": args.telemetry_dir,
+        "spool_budget_bytes": int(args.spool_budget_mb * 1024 * 1024),
+        "max_connections": args.max_connections,
+        "alerts": not args.no_alerts,
+        "alert_rules": _load_alert_rules(args.alert_rules),
+        "alert_webhook": args.alert_webhook,
+        "alert_routes": _load_alert_routes(args.alert_routes),
+        "probe_interval_s": args.probe_interval_s,
+        "tracing": not args.no_trace,
+        "trace_sample": args.trace_sample,
+    }
     if args.federate is not None:
         # Cross-machine federation: this process's metrics exchange, QoS
         # quorum and telemetry spool all flow through the cluster agent at
@@ -320,46 +328,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         run_server(
             registry=registry,
-            scale=args.scale,
-            fork_workers=args.fork_workers,
-            host=args.host,
-            port=args.port,
             shard_exchange=exchange,
             shard_index=index,
             coordinator=coordinator,
-            max_connections=args.max_connections,
-            spool_budget_bytes=spool_budget_bytes,
-            **alert_kwargs,
+            **server_kwargs,
         )
         return 0
     if args.shards > 1:
         from repro.serve.sharding import run_sharded
 
+        # The shards share one directory: the metrics exchange at its
+        # root, their telemetry spool under it (see run_sharded).
+        shard_kwargs = dict(server_kwargs)
         run_sharded(
             registry,
             shards=args.shards,
-            host=args.host,
-            port=args.port,
-            scale=args.scale,
-            fork_workers=args.fork_workers,
-            exchange_dir=args.telemetry_dir,
+            exchange_dir=shard_kwargs.pop("telemetry_dir"),
+            exchange_budget_bytes=shard_kwargs.pop("spool_budget_bytes"),
             coordinate=not args.no_coordinate,
-            exchange_budget_bytes=spool_budget_bytes,
-            max_connections=args.max_connections,
-            **alert_kwargs,
+            **shard_kwargs,
         )
         return 0
-    run_server(
-        registry=registry,
-        scale=args.scale,
-        fork_workers=args.fork_workers,
-        host=args.host,
-        port=args.port,
-        telemetry_dir=args.telemetry_dir,
-        max_connections=args.max_connections,
-        spool_budget_bytes=spool_budget_bytes,
-        **alert_kwargs,
-    )
+    run_server(registry=registry, **server_kwargs)
     return 0
 
 
@@ -793,8 +783,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry-dir",
         default=None,
         help="spool telemetry events (and, with --shards, the metrics/QoS "
-        "exchange) into this directory; the live dashboard at /dashboard "
-        "works with or without it",
+        "exchange) into this directory; with --federate events go to the "
+        "agent and the directory keeps the alert history and trace rings; "
+        "the live dashboard at /dashboard works with or without it",
     )
     serve_parser.add_argument(
         "--no-coordinate",

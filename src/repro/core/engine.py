@@ -38,10 +38,6 @@ class NBSMTEngine:
     force_reference:
         Use the chunked reference executor even for the fast-path thread
         counts.
-    reuse_executors:
-        Keep one executor per (layer, threads) and reuse it across calls
-        (the default).  ``False`` restores the seed behavior of constructing
-        a fresh :class:`NBSMTMatmul` per call, kept for A/B benchmarking.
     fast4t_impl:
         Forwarded to :class:`NBSMTMatmul` (``"stacked"`` or ``"legacy"``).
     prune_blocks:
@@ -55,7 +51,6 @@ class NBSMTEngine:
         default_threads: int = 2,
         collect_stats: bool = True,
         force_reference: bool = False,
-        reuse_executors: bool = True,
         fast4t_impl: str = "stacked",
         prune_blocks: bool = True,
     ):
@@ -63,7 +58,6 @@ class NBSMTEngine:
         self.default_threads = default_threads
         self.collect_stats = collect_stats
         self.force_reference = force_reference
-        self.reuse_executors = reuse_executors
         self.fast4t_impl = fast4t_impl
         self.prune_blocks = prune_blocks
         self.layer_stats: dict[str, SMTStatistics] = {}
@@ -84,7 +78,7 @@ class NBSMTEngine:
         key = (layer_name, threads)
         executor = self._executors.get(key)
         if executor is None:
-            executor = NBSMTMatmul(
+            executor = self._executors[key] = NBSMTMatmul(
                 threads,
                 self.policy,
                 collect_stats=self.collect_stats,
@@ -92,17 +86,20 @@ class NBSMTEngine:
                 fast4t_impl=self.fast4t_impl,
                 prune_blocks=self.prune_blocks,
             )
-            if self.reuse_executors:
-                self._executors[key] = executor
         return executor
 
     def matmul(
         self, x_q: np.ndarray, w_q: np.ndarray, ctx: LayerContext
     ) -> np.ndarray:
-        started = time.time()
+        # The wall-clock start places the span; the duration comes from the
+        # monotonic clock, so a stepped wall clock cannot make it negative.
+        wall_started = time.time()
+        started = time.monotonic()
         out = self._matmul(x_q, w_q, ctx)
         if len(self.layer_times) < 4096:  # bounded if stats never reset
-            self.layer_times.append((ctx.name, started, time.time() - started))
+            self.layer_times.append(
+                (ctx.name, wall_started, time.monotonic() - started)
+            )
         return out
 
     def _matmul(

@@ -30,9 +30,7 @@ of independent sweep points:
 A fresh session (``resume=False``, the default) only trusts artifacts
 written by itself (each store entry records the session id that produced
 it), so stale results from previous runs are recomputed; ``resume=True``
-accepts any stored artifact.  ``reuse=False`` additionally disables store
-*reads* inside one ``run()`` call, restoring the exact pre-sweep serial
-loop for A/B benchmarking (only meaningful with ``workers == 1``).
+accepts any stored artifact.
 """
 
 from __future__ import annotations
@@ -289,17 +287,16 @@ class PointStore:
 class SweepSession:
     """Execution policy shared by every sweep of one suite invocation.
 
-    One session spans all experiments of a ``repro run`` (or benchmark
-    suite) call, so identical points declared by different experiments are
-    computed once.  ``resume`` accepts artifacts from previous sessions;
-    a fresh session recomputes them.  ``cpu_count`` overrides CPU detection
+    One session spans all experiments of a ``repro run`` call, so
+    identical points declared by different experiments are computed once.
+    ``resume`` accepts artifacts from previous sessions; a fresh session
+    recomputes them.  ``cpu_count`` overrides CPU detection
     (tests; capacity planning).
     """
 
     scale: str = "fast"
     workers: int = 1
     resume: bool = False
-    reuse: bool = True
     cpu_count: int | None = None
     store_root: Path | str | None = None
     id: str = field(default_factory=lambda: uuid.uuid4().hex)
@@ -324,14 +321,11 @@ def ensure_session(
     scale,
     workers: int = 1,
     resume: bool = False,
-    reuse: bool = True,
 ) -> SweepSession:
     """Return ``session`` (validated against ``scale``) or a fresh one."""
     scale_name = getattr(scale, "name", scale)
     if session is None:
-        return SweepSession(
-            scale=scale_name, workers=workers, resume=resume, reuse=reuse
-        )
+        return SweepSession(scale=scale_name, workers=workers, resume=resume)
     if session.scale != scale_name:
         raise ValueError(
             f"session runs at scale {session.scale!r}, experiment asked for "
@@ -350,8 +344,6 @@ class SweepContext:
         self._memo: dict[SweepPoint, dict] = {}
 
     def _stored(self, point: SweepPoint) -> dict | None:
-        if not self.session.reuse:
-            return None
         entry = self.session.store.load(point)
         if entry is None:
             return None
@@ -490,12 +482,10 @@ def run_sweep(
         "sweep_started",
         points=sum(1 for p in unique if not context.memoized(p)),
     )
-    # The pool (and the hub) hand results back through the store, so
-    # orchestrated mode requires store reuse; reuse=False stays serial by
-    # construction.
+    # The pool (and the hub) hand results back through the store.
     hub = getattr(session, "hub", None)
     use_pool = session.workers > 1 and parallel.fork_available()
-    if session.reuse and (hub is not None or use_pool):
+    if hub is not None or use_pool:
         pending = [p for p in unique if context.cached(p) is None]
         groups = group_points(pending)
         if hub is not None:

@@ -30,20 +30,13 @@ from repro.quant.quantizer import (
 
 @dataclass
 class QuantConfig:
-    """Which layers are quantized and with how many bits.
-
-    ``cache_weight_quant`` caches each layer's per-channel weight
-    quantization across calls (weights do not change during evaluation); the
-    cache is validated against a cheap value fingerprint and refreshed
-    automatically when the weights are mutated in place (e.g. by pruning).
-    """
+    """Which layers are quantized and with how many bits."""
 
     act_bits: int = 8
     wgt_bits: int = 8
     skip_first_conv: bool = True
     include_linear: bool = False
     depthwise_single_thread: bool = True
-    cache_weight_quant: bool = True
 
 
 def unwrap_matmul_fn(fn):
@@ -150,16 +143,16 @@ class QuantizedModel:
         def hook(cols: np.ndarray, weight_2d: np.ndarray) -> np.ndarray:
             engine = layer.engine or self.default_engine
             x_q = quantize_activations(cols, act_scale, bits=config.act_bits)
-            if config.cache_weight_quant:
-                fingerprint = weight_fingerprint(weight_2d)
-                if weight_cache.get("fingerprint") != fingerprint:
-                    weight_cache["fingerprint"] = fingerprint
-                    weight_cache["quant"] = quantize_weights_per_channel(
-                        weight_2d, bits=config.wgt_bits
-                    )
-                w_q = weight_cache["quant"]
-            else:
-                w_q = quantize_weights_per_channel(weight_2d, bits=config.wgt_bits)
+            # Weights do not change during evaluation, so their per-channel
+            # quantization is cached; the fingerprint refreshes it when they
+            # are mutated in place (e.g. by pruning).
+            fingerprint = weight_fingerprint(weight_2d)
+            if weight_cache.get("fingerprint") != fingerprint:
+                weight_cache["fingerprint"] = fingerprint
+                weight_cache["quant"] = quantize_weights_per_channel(
+                    weight_2d, bits=config.wgt_bits
+                )
+            w_q = weight_cache["quant"]
             accumulators = engine.matmul(x_q.values, w_q.values, layer.context)
             return dequantize(accumulators, act_scale, w_q.scales)
 

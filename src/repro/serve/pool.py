@@ -244,7 +244,7 @@ class InlineReplica:
             if trace is not None:
                 trace["engine"] = {
                     "start": wall_started,
-                    "duration_s": time.time() - wall_started,
+                    "duration_s": time.monotonic() - started,
                     "pid": os.getpid(),
                     "level": self.level,
                     "layers": list(self.engine.layer_times),
@@ -846,17 +846,6 @@ class EnginePool:
         """Seconds-per-image pacing unit (None when pacing is off)."""
         self.replica_set(endpoint)
         return self._pace_units[endpoint]
-
-    def set_pacing_unit(self, endpoint: str, unit: float | None) -> None:
-        """Override the calibrated pacing unit on every replica.
-
-        Benchmarks comparing pools use this to drive both with one
-        measured unit, so their paced capacities are identical by
-        construction instead of within calibration noise.
-        """
-        self.replica_set(endpoint).set_pacing(unit)
-        with self._lock:
-            self._pace_units[endpoint] = unit
 
     def set_operating_point(self, endpoint: str, level: int) -> OperatingPoint:
         """Move every replica of ``endpoint`` to the given ladder rung.

@@ -103,6 +103,12 @@ from repro.telemetry.tracing import TRACE_HEADER, TraceStore, Tracer
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024
 _MAX_HEADER_BYTES = 32 * 1024
+#: Seconds between ``endpoint_health`` heartbeat events.
+_TELEMETRY_TICK_S = 1.0
+#: Seconds a graceful stop waits for in-flight requests to finish.
+_DRAIN_TIMEOUT_S = 5.0
+#: Terminal responses remembered for ``X-Idempotency-Key`` replays.
+_IDEMPOTENCY_CACHE = 1024
 
 
 def retry_after_header(retry_after_ms: float) -> str:
@@ -183,7 +189,6 @@ class NBSMTServer:
         warm: bool = True,
         pool: EnginePool | None = None,
         sock=None,
-        reuse_port: bool = False,
         qos: QoSConfig | None = None,
         qos_tick_s: float = 0.2,
         shard_exchange=None,
@@ -191,15 +196,10 @@ class NBSMTServer:
         shard_publish_s: float = 0.5,
         telemetry_dir: str | None = None,
         coordinator=None,
-        telemetry_tick_s: float = 1.0,
         max_connections: int = 256,
         read_timeout_s: float = 10.0,
         body_timeout_s: float = 30.0,
         write_timeout_s: float = 30.0,
-        drain_timeout_s: float = 5.0,
-        max_header_bytes: int = _MAX_HEADER_BYTES,
-        max_body_bytes: int = _MAX_BODY_BYTES,
-        idempotency_cache: int = 1024,
         spool_budget_bytes: int = 0,
         alerts: bool = True,
         alert_rules=None,
@@ -228,15 +228,16 @@ class NBSMTServer:
         self.shard_index = int(shard_index)
         self.shard_publish_s = float(shard_publish_s)
         self.coordinator = coordinator
-        self.telemetry_tick_s = float(telemetry_tick_s)
         # Telemetry: events publish on the process bus; with a spool dir
         # (sharded mode) they also spill to disk so any shard's relay can
-        # stream the whole service's events from `/v1/events`.
+        # stream the whole service's events from `/v1/events`.  A sink
+        # attached before the server (a federated member's remote spool)
+        # stays; the directory then holds the history and trace rings.
         bus = telemetry_bus.get_bus()
         bus.configure_source(role="serve", shard=self.shard_index)
         self._owns_spool = False
         self.spool_budget = None
-        if telemetry_dir is not None and bus.spool_dir != str(telemetry_dir):
+        if telemetry_dir is not None and bus.spool_dir is None:
             if spool_budget_bytes > 0:
                 from repro.utils.diskbudget import DiskBudget
 
@@ -334,7 +335,6 @@ class NBSMTServer:
         self._last_shed: dict[str, int] = {}
         self._last_expired: dict[str, int] = {}
         self._sock = sock
-        self._reuse_port = bool(reuse_port)
         self._server: asyncio.AbstractServer | None = None
         self._stop_event: asyncio.Event | None = None
         self._background_tasks: list[asyncio.Task] = []
@@ -346,9 +346,6 @@ class NBSMTServer:
         self.read_timeout_s = float(read_timeout_s)
         self.body_timeout_s = float(body_timeout_s)
         self.write_timeout_s = float(write_timeout_s)
-        self.drain_timeout_s = float(drain_timeout_s)
-        self.max_header_bytes = int(max_header_bytes)
-        self.max_body_bytes = int(max_body_bytes)
         self._connections: set[_ConnState] = set()
         self._active_requests = 0
         self.evicted_connections = 0
@@ -356,7 +353,6 @@ class NBSMTServer:
         self.timed_out_reads = 0
         self.timed_out_writes = 0
         self.idempotent_replays = 0
-        self._idempotency_cache = max(0, int(idempotency_cache))
         self._idempotency: OrderedDict[str, object] = OrderedDict()
 
     # -- endpoint assembly -------------------------------------------------
@@ -437,7 +433,6 @@ class NBSMTServer:
                 self._handle_connection,
                 host=self.host,
                 port=self.port,
-                reuse_port=self._reuse_port or None,
             )
         sockets = self._server.sockets or []
         if sockets:
@@ -534,7 +529,7 @@ class NBSMTServer:
         loop = asyncio.get_running_loop()
         while not self._stopped:
             await loop.run_in_executor(None, self.publish_health)
-            await asyncio.sleep(self.telemetry_tick_s)
+            await asyncio.sleep(_TELEMETRY_TICK_S)
 
     async def _follow_loop(self) -> None:
         """Relay peer shards' spool events into this shard's SSE streams."""
@@ -662,7 +657,7 @@ class NBSMTServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        drain_until = self.clock() + self.drain_timeout_s
+        drain_until = self.clock() + _DRAIN_TIMEOUT_S
         while self._active_requests > 0 and self.clock() < drain_until:
             await asyncio.sleep(0.02)
         self._stopped = True
@@ -869,7 +864,7 @@ class NBSMTServer:
         if not request_line:
             return None
         header_bytes = len(request_line)
-        if header_bytes > self.max_header_bytes:
+        if header_bytes > _MAX_HEADER_BYTES:
             raise _HttpError(431, "request line too large")
         try:
             method, path, _version = request_line.decode("ascii").split(None, 2)
@@ -879,7 +874,7 @@ class NBSMTServer:
         while True:
             line = await self._read_line(reader)
             header_bytes += len(line)
-            if header_bytes > self.max_header_bytes:
+            if header_bytes > _MAX_HEADER_BYTES:
                 raise _HttpError(431, "request headers too large")
             if line in (b"\r\n", b"\n", b""):
                 break
@@ -889,7 +884,7 @@ class NBSMTServer:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
             raise _HttpError(400, "malformed Content-Length header") from None
-        if length > self.max_body_bytes:
+        if length > _MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
         if length:
             try:
@@ -1183,7 +1178,7 @@ class NBSMTServer:
         sheds and errors are not -- a retry after a 429 must re-run.
         """
         key = (headers or {}).get(IDEMPOTENCY_HEADER)
-        if not key or not self._idempotency_cache:
+        if not key:
             return await self._predict_once(name, body, headers, trace=trace)
         entry = self._idempotency.get(key)
         if entry is not None:
@@ -1218,7 +1213,7 @@ class NBSMTServer:
             future.set_result((status, payload))
         if status in (200, 504):
             self._idempotency[key] = (status, payload)
-            while len(self._idempotency) > self._idempotency_cache:
+            while len(self._idempotency) > _IDEMPOTENCY_CACHE:
                 self._idempotency.popitem(last=False)
         else:
             self._idempotency.pop(key, None)

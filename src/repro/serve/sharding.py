@@ -42,12 +42,6 @@ from repro.cluster.documents import (
 )
 from repro.eval import parallel
 
-#: Compatibility alias: the staleness horizon moved to the cluster
-#: substrate (:mod:`repro.cluster.documents`).  A peer payload older than
-#: this is reported but flagged stale (a shard that crashed stops
-#: publishing; its last counters remain valid history).
-STALE_AFTER_S = METRICS_STALE_AFTER_S
-
 
 def reuseport_supported() -> bool:
     return hasattr(socket, "SO_REUSEPORT")
@@ -148,7 +142,7 @@ class ShardMetricsExchange:
     def gather_peers(self) -> tuple[list[dict], list[dict]]:
         """Peer payloads plus per-source metadata (index, age, staleness).
 
-        A *stale* payload (older than :data:`STALE_AFTER_S`) whose
+        A *stale* payload (older than :data:`~repro.cluster.documents.METRICS_STALE_AFTER_S`) whose
         publishing process is gone is **reaped**: the document is
         deleted and the payload excluded from the merge.  Without this, a
         crashed shard's last counters would be folded into every
@@ -179,7 +173,7 @@ class ShardMetricsExchange:
             except (TypeError, ValueError):
                 self.store.note_corrupt()
                 continue
-            stale = age > STALE_AFTER_S
+            stale = age > METRICS_STALE_AFTER_S
             # Local documents published before pids were recorded (and
             # remote ones, whose pids mean nothing here) reap on
             # staleness alone.

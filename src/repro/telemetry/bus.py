@@ -27,10 +27,8 @@ sink lazily reopens a fresh per-pid file when it notices it crossed a
 inherited from the parent (a worker must not run the parent's dashboard
 callbacks).
 
-``Event``, ``EventSpool`` (now :class:`~repro.cluster.spool.SpoolWriter`),
-``SpoolFollower``, ``atomic_write_json`` and ``pid_alive`` are re-exported
-here for compatibility: this module is where every pre-cluster caller
-imported them from.
+``Event``, ``SpoolWriter`` and ``SpoolFollower`` are re-exported here:
+telemetry consumers import the whole event vocabulary from this module.
 """
 
 from __future__ import annotations
@@ -40,16 +38,12 @@ import os
 import threading
 import time
 
-from repro.cluster.documents import atomic_write_json, pid_alive  # noqa: F401
 from repro.cluster.spool import (  # noqa: F401
     DEFAULT_ROTATE_BYTES,
     Event,
     SpoolFollower,
     SpoolWriter,
 )
-
-#: Compatibility alias: the writer moved under the cluster substrate.
-EventSpool = SpoolWriter
 
 
 class Subscription:

@@ -42,10 +42,6 @@ from repro.cluster.documents import (
 )
 from repro.telemetry import bus as telemetry_bus
 
-#: Compatibility alias: the staleness horizon moved to the cluster
-#: substrate (:mod:`repro.cluster.documents`).
-STALE_AFTER_S = QOS_STALE_AFTER_S
-
 
 class ShardStateChannel:
     """Atomic-rename publish/gather of per-shard QoS state documents.
@@ -100,7 +96,7 @@ class ShardStateChannel:
             },
         )
 
-    def gather(self, stale_after_s: float = STALE_AFTER_S) -> dict[int, dict]:
+    def gather(self, stale_after_s: float = QOS_STALE_AFTER_S) -> dict[int, dict]:
         """Fresh, live shard documents by shard index (including our own)."""
         states: dict[int, dict] = {}
         now = time.time()
@@ -171,7 +167,7 @@ class QoSCoordinator:
     def __init__(
         self,
         channel: ShardStateChannel,
-        stale_after_s: float = STALE_AFTER_S,
+        stale_after_s: float = QOS_STALE_AFTER_S,
         min_publish_s: float = 0.0,
         gather_cache_s: float = 0.0,
     ):

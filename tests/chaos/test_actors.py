@@ -24,8 +24,8 @@ from repro.chaos.actors import (
     SpoolCorruptor,
 )
 from repro.chaos.schedule import ChaosSchedule
+from repro.cluster.documents import pid_alive
 from repro.eval.parallel import fork_available
-from repro.telemetry.bus import pid_alive
 
 
 def _spawn_sleeper():

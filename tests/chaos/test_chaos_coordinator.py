@@ -21,8 +21,8 @@ import pytest
 
 from repro.chaos.actors import PeerFreezer, ProcessReaper, SpoolCorruptor
 from repro.chaos.invariants import InvariantChecker
+from repro.cluster.documents import pid_alive
 from repro.eval.parallel import fork_available
-from repro.telemetry.bus import pid_alive
 from repro.telemetry.coordinator import ShardStateChannel, recommend_level
 
 pytestmark = [

@@ -29,6 +29,9 @@ pytestmark = [
 ]
 
 SEED = 20260808
+#: Open-loop arrival rate of the overload phase, in multiples of the
+#: stack's measured closed-loop capacity.
+OVERLOAD_FACTOR = 3.0
 
 
 def _make_stack(tiny_harness, tiny_provider, **overrides):
@@ -159,22 +162,49 @@ def test_killing_every_worker_at_once_is_survivable(
         stack.close()
 
 
+def _closed_loop_capacity(stack, seconds=0.5):
+    """Single-image requests per second the stack completes when it always
+    has two full batches outstanding (no admission, no deadlines)."""
+    images = stack.images
+    window = 2 * stack.spec.max_batch
+    pending = []
+    completed = 0
+    index = 0
+    started = time.perf_counter()
+    while time.perf_counter() - started < seconds:
+        while len(pending) < window:
+            at = index % images.shape[0]
+            pending.append(stack.batcher.submit(images[at : at + 1], size=1))
+            index += 1
+        pending.pop(0).result(timeout=30.0)
+        completed += 1
+    elapsed = time.perf_counter() - started
+    for future in pending:
+        future.result(timeout=30.0)
+    return completed / elapsed
+
+
 def test_deadline_expiry_under_overload_keeps_the_ledger_exact(
     tiny_harness, tiny_provider
 ):
     """Mixed-deadline overload: requests whose deadline passes in the
     queue are cancelled *before* compute with an explicit
     ``deadline_exceeded`` answer -- the ledger's ``expired`` outcome --
-    never silently dropped, and deadline-free traffic still completes."""
+    never silently dropped, and deadline-free traffic still completes.
+
+    The overload is relative to the host's speed: arrivals come at a
+    fixed multiple of the capacity a short closed-loop drive measures
+    first."""
     stack = _make_stack(
         tiny_harness, tiny_provider, fork_workers=0, max_pending=64
     )
     ledger = ResponseLedger()
     checker = InvariantChecker()
     try:
+        capacity = _closed_loop_capacity(stack)
         summary = drive_open_loop(
             stack,
-            rate=200.0,
+            rate=OVERLOAD_FACTOR * capacity,
             duration=1.5,
             budget_s=30.0,
             ledger=ledger,

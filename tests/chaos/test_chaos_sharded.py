@@ -21,6 +21,7 @@ import pytest
 
 from repro.chaos.actors import ProcessReaper
 from repro.chaos.invariants import InvariantChecker
+from repro.cluster.documents import METRICS_STALE_AFTER_S
 from repro.eval.parallel import fork_available
 from repro.serve import sharding
 
@@ -169,7 +170,7 @@ def test_shard_kill_keeps_merged_metrics_exact(tmp_path):
         dead_spool = tmp_path / f"shard-{dead_index}.json"
         with open(dead_spool, encoding="utf-8") as handle:
             document = json.load(handle)
-        document["published_at"] = time.time() - 2 * sharding.STALE_AFTER_S
+        document["published_at"] = time.time() - 2 * METRICS_STALE_AFTER_S
         with open(dead_spool, "w", encoding="utf-8") as handle:
             json.dump(document, handle)
 

@@ -1,5 +1,7 @@
 """Warm engine pool: replica execution, throttled specs, lease lifecycle."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,30 @@ def test_inline_replica_stats_are_per_call(tiny_harness, tiny_provider):
     replica.close()
     for name in first:
         assert first[name].as_dict() == second[name].as_dict()
+
+
+def test_engine_durations_survive_a_wall_clock_stepping_backwards(
+    tiny_harness, tiny_provider, monkeypatch
+):
+    replica = InlineReplica(tiny_spec(), tiny_provider, warm=True)
+    images = tiny_harness.eval_images[:4]
+    wall = [2.0e9]
+
+    def stepping_back():
+        wall[0] -= 100.0  # every reading is 100 s before the last one
+        return wall[0]
+
+    monkeypatch.setattr(time, "time", stepping_back)
+    trace: dict = {}
+    replica.infer_ex(images, trace=trace)
+    monkeypatch.undo()
+    replica.close()
+    engine = trace["engine"]
+    assert engine["layers"], "the forward pass recorded no layer timings"
+    assert engine["duration_s"] >= 0.0
+    assert all(duration >= 0.0 for _, _, duration in engine["layers"])
+    # Span placement still follows the wall clock.
+    assert engine["start"] < 2.0e9
 
 
 def test_throttled_spec_uses_throttle_assignment(tiny_harness, tiny_provider):

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.cluster.documents import METRICS_STALE_AFTER_S
 from repro.eval.parallel import fork_available
 from repro.serve import sharding
 
@@ -56,7 +57,7 @@ def test_stale_spool_of_dead_shard_is_reaped(tmp_path):
     with open(tmp_path / "shard-1.json", "w", encoding="utf-8") as handle:
         json.dump(
             {"shard": 1, "pid": 0,
-             "published_at": time.time() - 2 * sharding.STALE_AFTER_S,
+             "published_at": time.time() - 2 * METRICS_STALE_AFTER_S,
              "payload": {"endpoints": {"m": {"requests": 999}}}},
             handle,
         )
@@ -64,7 +65,7 @@ def test_stale_spool_of_dead_shard_is_reaped(tmp_path):
     with open(tmp_path / "shard-2.json", "w", encoding="utf-8") as handle:
         json.dump(
             {"shard": 2, "pid": os.getpid(),
-             "published_at": time.time() - 2 * sharding.STALE_AFTER_S,
+             "published_at": time.time() - 2 * METRICS_STALE_AFTER_S,
              "payload": {"endpoints": {"m": {"requests": 5}}}},
             handle,
         )

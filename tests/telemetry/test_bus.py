@@ -6,13 +6,9 @@ import os
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.telemetry.bus import (
-    Event,
-    EventSpool,
-    SpoolFollower,
-    TelemetryBus,
-    pid_alive,
-)
+from repro.cluster.documents import pid_alive
+from repro.cluster.spool import Event, SpoolFollower, SpoolWriter
+from repro.telemetry.bus import TelemetryBus
 from tests.strategies import QUICK_SETTINGS
 
 
@@ -99,7 +95,7 @@ def test_spool_round_trip(tmp_path):
 
 
 def test_spool_ignores_torn_tail_and_junk(tmp_path):
-    spool = EventSpool(str(tmp_path), role="w")
+    spool = SpoolWriter(str(tmp_path), role="w")
     spool.append(Event("a", 1.0, {"pid": 1}, 1, {}))
     follower = SpoolFollower(str(tmp_path))
     assert len(follower.poll()) == 1
@@ -116,7 +112,7 @@ def test_spool_ignores_torn_tail_and_junk(tmp_path):
 
 
 def test_spool_rotation_keeps_events_readable(tmp_path):
-    spool = EventSpool(str(tmp_path), role="w", rotate_bytes=400)
+    spool = SpoolWriter(str(tmp_path), role="w", rotate_bytes=400)
     follower = SpoolFollower(str(tmp_path))
     total = 24
     seen = []
@@ -131,8 +127,8 @@ def test_spool_rotation_keeps_events_readable(tmp_path):
 
 
 def test_spool_follower_skips_basenames(tmp_path):
-    own = EventSpool(str(tmp_path), role="own")
-    peer = EventSpool(str(tmp_path), role="peer")
+    own = SpoolWriter(str(tmp_path), role="own")
+    peer = SpoolWriter(str(tmp_path), role="peer")
     own.append(Event("mine", 1.0, {"pid": os.getpid()}, 1, {}))
     peer.append(Event("theirs", 2.0, {"pid": 0}, 1, {}))
     follower = SpoolFollower(
@@ -215,7 +211,7 @@ def test_spool_document_is_one_json_per_line(tmp_path):
 
 
 def test_spool_corrupt_lines_are_counted_not_fatal(tmp_path):
-    spool = EventSpool(str(tmp_path), role="w")
+    spool = SpoolWriter(str(tmp_path), role="w")
     spool.append(Event("a", 1.0, {"pid": 1}, 1, {}))
     follower = SpoolFollower(str(tmp_path))
     assert len(follower.poll()) == 1
@@ -240,7 +236,7 @@ def test_spool_corrupt_lines_are_counted_not_fatal(tmp_path):
 
 
 def test_spool_truncated_mid_line_resumes_at_next_newline(tmp_path):
-    spool = EventSpool(str(tmp_path), role="w")
+    spool = SpoolWriter(str(tmp_path), role="w")
     for index in range(3):
         spool.append(Event("tick", float(index), {"pid": 1}, index, {"i": index}))
     follower = SpoolFollower(str(tmp_path))
