@@ -1,10 +1,17 @@
 #!/usr/bin/env bash
 # Tier-1 repo check: byte-compile the package and run the fast test profile.
 #
-# Usage: scripts/check.sh [--serve|--telemetry|--alerts|--trace|--cluster|--chaos|--soak|--soak-long]
+# Usage: scripts/check.sh [--all|--serve|--telemetry|--alerts|--trace|--cluster|--chaos|--soak|--soak-long]
 #                         [extra args...]
 # Examples:
 #   scripts/check.sh                 # compileall + fast tier-1 tests
+#   scripts/check.sh --all           # pre-merge gate: compileall, then every
+#                                    # pytest lane in turn (tier-1, slow,
+#                                    # serve, chaos, cluster, trace), with
+#                                    # the wall time of each; exits non-zero
+#                                    # at the first failing lane (extra args
+#                                    # go to every lane; the timed soak runs
+#                                    # stay separate)
 #   scripts/check.sh --serve         # compileall + the opt-in serve lane
 #                                    # (HTTP e2e, sharding, adaptive QoS)
 #   scripts/check.sh --telemetry     # compileall + every telemetry test
@@ -42,7 +49,26 @@ python -m compileall -q src benchmarks perfbench
 echo "== pytest =="
 # (No intermediate array: expanding an empty array under `set -u` breaks
 # on bash < 4.4, e.g. macOS's default bash 3.2.)
-if [[ "${1:-}" == "--serve" ]]; then
+if [[ "${1:-}" == "--all" ]]; then
+    shift
+    lane() {
+        local name="$1" started=$SECONDS
+        shift
+        echo "== lane: $name =="
+        if python -m pytest -x -q "$@"; then
+            echo "== lane $name passed in $((SECONDS - started)) s =="
+        else
+            echo "== lane $name FAILED after $((SECONDS - started)) s =="
+            exit 1
+        fi
+    }
+    lane tier-1 "$@"
+    lane slow -m slow "$@"
+    lane serve -m serve "$@"
+    lane chaos -m chaos "$@"
+    lane cluster -m cluster "$@"
+    lane trace -m trace "$@"
+elif [[ "${1:-}" == "--serve" ]]; then
     shift
     python -m pytest -x -q -m serve "$@"
 elif [[ "${1:-}" == "--telemetry" ]]; then

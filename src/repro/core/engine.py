@@ -41,8 +41,9 @@ class NBSMTEngine:
     fast4t_impl:
         Forwarded to :class:`NBSMTMatmul` (``"stacked"`` or ``"legacy"``).
     prune_blocks:
-        Forwarded to :class:`NBSMTMatmul` (sparsity-adaptive block pruning
-        in the stacked 4-thread path; bit-exact, on by default).
+        Forwarded to :class:`NBSMTMatmul` (stack each 4-thread error block
+        only over the K rows where its weight pattern occurs; bit-exact, on
+        by default).
     """
 
     def __init__(

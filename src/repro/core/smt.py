@@ -14,12 +14,14 @@ Three implementations are provided and cross-checked by the test suite:
   tensors and handles any thread count;
 * a **factorized** fast path for two and four threads, which expresses the
   NB-SMT noise as extra matrix multiplications of masked deltas (the
-  collision indicator of each thread factors into an activation-side and a
-  weight-side rank-1 term, so the demand-gated error terms expand by
-  inclusion-exclusion into separable blocks that are stacked along the inner
+  2-thread collision indicator factors into an activation-side and a
+  weight-side mask; the 4-thread error is partitioned by the weight-side
+  thread-activity pattern, which makes every demand gate a function of the
+  activation-side pattern alone, so each error term is a separable block
+  written with one table look-up; the blocks are stacked along the inner
   dimension and evaluated with a handful of BLAS calls);
 * the seed's original 4-thread factorized implementation
-  (:func:`_fast_4t_legacy`), retained for A/B benchmarking.
+  (:func:`_fast_4t_legacy`), kept as a cross-check oracle.
 
 The factorized paths also reconstruct the *exact* statistics (including the
 per-position reduction count) without materializing activity tensors: every
@@ -250,21 +252,40 @@ def _exact_matmul(x_q: np.ndarray, w_q: np.ndarray) -> np.ndarray:
     return np.rint(x_q.astype(np.float64) @ w_q.astype(np.float64)).astype(np.int64)
 
 
+def _exactness_groups(bounds: list[float]) -> list[tuple[list[int], type]]:
+    """Partition GEMM terms into exactly evaluable groups.
+
+    ``bounds[i]`` upper-bounds the product-sum magnitude of term ``i``.
+    Terms are packed in order into float32 groups whose summed bounds stay
+    below the float32 mantissa limit; a term too large for float32 on its
+    own gets a float64 group.  Returns ``(term indices, dtype)`` pairs.
+    """
+    groups: list[tuple[list[int], type]] = []
+    group: list[int] = []
+    group_bound = 0.0
+    for index, bound in enumerate(bounds):
+        if bound >= _F32_EXACT_LIMIT:
+            groups.append(([index], np.float64))
+            continue
+        if group and group_bound + bound >= _F32_EXACT_LIMIT:
+            groups.append((group, np.float32))
+            group, group_bound = [], 0.0
+        group.append(index)
+        group_bound += bound
+    if group:
+        groups.append((group, np.float32))
+    return groups
+
+
 class _ErrorAccumulator:
     """Collects separable error terms and evaluates them with few GEMMs.
 
-    Each term is ``scale * (gate_l * val_l) @ (gate_r * val_r)`` for
-    integer-valued matrices of shapes ``(M, Kt)`` and ``(Kt, N)``.  Terms are
-    only described by :meth:`add`; :meth:`total` partitions them into groups
-    whose cumulative exactness bound fits a float32 GEMM (float64 for
-    oversized single terms), writes the gated factors directly into
-    preallocated stacked operands (no per-term temporaries or concatenation)
-    and issues one BLAS call per group.
-
-    ``columns`` optionally restricts a term to a subset of its K positions:
-    a K column whose gated left column or gated right row is entirely zero
-    contributes nothing, so it can be dropped from the stacked operands
-    without changing the product (sparsity-adaptive block pruning).
+    Each term is ``(gate_l * val_l) @ (gate_r * val_r)`` for integer-valued
+    matrices of shapes ``(M, Kt)`` and ``(Kt, N)``.  Terms are only
+    described by :meth:`add`; :meth:`total` partitions them into exactly
+    evaluable groups (:func:`_exactness_groups`), writes the gated factors
+    directly into preallocated stacked operands (no per-term temporaries or
+    concatenation) and issues one BLAS call per group.
     """
 
     def __init__(self, m: int, n: int):
@@ -279,125 +300,31 @@ class _ErrorAccumulator:
         gate_right: np.ndarray | bool,
         values_right: np.ndarray,
         bound: float,
-        scale: float = 1.0,
-        columns: np.ndarray | None = None,
     ) -> None:
         """Record the term; ``bound`` upper-bounds its product-sum magnitude."""
         self._terms.append(
-            (gate_left, values_left, gate_right, values_right, bound, scale,
-             columns)
+            (gate_left, values_left, gate_right, values_right, bound)
         )
 
-    @staticmethod
-    def _term_width(term: tuple) -> int:
-        columns = term[6]
-        return term[1].shape[-1] if columns is None else len(columns)
-
     def _evaluate_group(self, group: list[tuple], dtype) -> np.ndarray:
-        width = sum(self._term_width(term) for term in group)
+        width = sum(term[1].shape[-1] for term in group)
         lefts = np.empty((self.m, width), dtype=dtype)
         rights = np.empty((width, self.n), dtype=dtype)
         pos = 0
-        for gate_l, val_l, gate_r, val_r, _, scale, columns in group:
-            if columns is not None:
-                val_l = val_l[:, columns]
-                val_r = val_r[columns, :]
-                if isinstance(gate_l, np.ndarray):
-                    gate_l = gate_l[:, columns]
-                if isinstance(gate_r, np.ndarray):
-                    gate_r = gate_r[columns, :]
+        for gate_l, val_l, gate_r, val_r, _ in group:
             stop = pos + val_l.shape[-1]
-            left_view = lefts[:, pos:stop]
-            np.multiply(gate_l, val_l, out=left_view, casting="unsafe")
-            if scale != 1.0:
-                left_view *= dtype(scale)
+            np.multiply(gate_l, val_l, out=lefts[:, pos:stop], casting="unsafe")
             np.multiply(gate_r, val_r, out=rights[pos:stop, :], casting="unsafe")
             pos = stop
         return lefts @ rights
 
     def total(self) -> np.ndarray:
         """Evaluate all recorded terms; returns the integer error matrix."""
-        if not self._terms:
-            return np.zeros((self.m, self.n), dtype=np.int64)
-        total: np.ndarray | None = None
-        group: list[tuple] = []
-        group_bound = 0.0
-        groups: list[tuple[list[tuple], type]] = []
-        for term in self._terms:
-            bound = term[4]
-            if bound >= _F32_EXACT_LIMIT:
-                groups.append(([term], np.float64))
-                continue
-            if group and group_bound + bound >= _F32_EXACT_LIMIT:
-                groups.append((group, np.float32))
-                group, group_bound = [], 0.0
-            group.append(term)
-            group_bound += bound
-        if group:
-            groups.append((group, np.float32))
-        for members, dtype in groups:
-            partial = self._evaluate_group(members, dtype)
-            if total is None:
-                total = partial.astype(np.float64)
-            else:
-                total += partial
+        total = np.zeros((self.m, self.n))
+        for members, dtype in _exactness_groups([t[4] for t in self._terms]):
+            total += self._evaluate_group([self._terms[i] for i in members], dtype)
         self._terms = []
         return np.rint(total).astype(np.int64)
-
-
-class _ColumnPruner:
-    """Sparsity-adaptive block pruning for the factorized 4-thread path.
-
-    Every error block is ``(gate_a * left) @ (gate_w * right)``; a K column
-    contributes only when the gated left factor has a nonzero in that column
-    *and* the gated right factor has a nonzero in that row.  Exact per-block
-    masks would cost ``O(M Kt)`` per block, so the pruner intersects three
-    cheap over-approximations, each computed once and reused: the subset
-    gate's active columns (a by-product of the sums the subset-skip test
-    needs anyway) and per-thread activity vectors of the left/right value
-    factors (one ``any`` reduction per thread, computed lazily).  Blocks
-    with no active column are dropped before stacking; mostly-inactive
-    blocks are narrowed to their active columns.  Dropped columns contribute
-    exactly zero, so pruning is bit-exact.
-    """
-
-    def __init__(self, kt: int, select_fraction: float = 0.5):
-        self.kt = kt
-        self.select_fraction = select_fraction
-        self._cols: dict[tuple[str, int], np.ndarray] = {}
-
-    def side_vector(self, kind: str, t: int, values: np.ndarray,
-                    axis: int) -> np.ndarray:
-        """Per-K activity of one value factor (lazily memoized per thread)."""
-        key = (kind, t)
-        vec = self._cols.get(key)
-        if vec is None:
-            vec = (values != 0).any(axis=axis)
-            self._cols[key] = vec
-        return vec
-
-    def columns(
-        self,
-        subset_cols: np.ndarray | None,
-        left_cols: np.ndarray,
-        right_rows: np.ndarray,
-    ) -> tuple[bool, np.ndarray | None]:
-        """``(keep, columns)`` for one block.
-
-        ``keep`` is False when no K column is active (the block is skipped
-        entirely); ``columns`` is the active-column index subset when enough
-        columns are inactive for the gather to pay for itself, else None
-        (stack the full block).
-        """
-        active = left_cols & right_rows
-        if subset_cols is not None:
-            active = active & subset_cols
-        count = int(active.sum())
-        if count == 0:
-            return False, None
-        if count > self.select_fraction * self.kt:
-            return True, None
-        return True, np.flatnonzero(active)
 
 
 class NBSMTMatmul:
@@ -421,13 +348,12 @@ class NBSMTMatmul:
     fast4t_impl:
         ``"stacked"`` (default) selects the optimized stacked-GEMM 4-thread
         path; ``"legacy"`` selects the seed's original factorized
-        implementation, retained for A/B benchmarking (its ``mac_reduced``
+        implementation, kept as a cross-check oracle (its ``mac_reduced``
         counter is a collision-count proxy, not the exact reduction count).
     prune_blocks:
-        Sparsity-adaptive block pruning in the stacked 4-thread path: error
-        blocks whose gated factors have no jointly-active K column are
-        skipped before stacking, and mostly-inactive blocks are narrowed to
-        their active columns.  Bit-exact; disable for A/B benchmarking.
+        Row selection in the stacked 4-thread path: each error block is
+        stacked only over the K rows where its weight-side activity pattern
+        occurs (otherwise over all K rows).  Bit-exact either way.
     """
 
     def __init__(
@@ -522,11 +448,15 @@ def _count_active(x_q: np.ndarray, w_q: np.ndarray) -> int:
     return int(x_nonzero.sum(axis=0) @ w_nonzero.sum(axis=1))
 
 
+def _operand_range(a: np.ndarray) -> tuple[int, int]:
+    """``(min, max)`` of an operand, reduced in its own dtype (0 if empty)."""
+    return int(a.min(initial=0)), int(a.max(initial=0))
+
+
 def _operand_maxima(x_t: np.ndarray, w_t: np.ndarray) -> tuple[int, int]:
     """Maximum operand magnitudes, used to tighten GEMM exactness bounds."""
-    amax = int(np.abs(_as_int64(x_t)).max(initial=0))
-    wmax = int(np.abs(_as_int64(w_t)).max(initial=0))
-    return amax, wmax
+    (x_lo, x_hi), (w_lo, w_hi) = _operand_range(x_t), _operand_range(w_t)
+    return max(-x_lo, x_hi), max(-w_lo, w_hi)
 
 
 def _narrowed(a: np.ndarray, max_abs: int) -> np.ndarray:
@@ -644,50 +574,112 @@ def _fast_2t(
 # Optimized factorized 4-thread fast path
 # ---------------------------------------------------------------------------
 
-#: (pair, many) error coefficients by the number of *other* colliding threads,
-#: from the inclusion-exclusion expansion of the exactly-one-other /
-#: two-or-more-others demand indicators.
-_SUBSET_COEFFS = {1: (1.0, 0.0), 2: (-2.0, 1.0), 3: (3.0, -2.0)}
-
-
 @lru_cache(maxsize=None)
 def _value_luts(width_primary: bool) -> dict[str, np.ndarray]:
-    """Per-operand-value lookup tables of the many-way (4b-4b) reduction.
+    """Per-operand-value lookup tables of the 4-thread error factors.
 
-    Everything derives from the delta tables in :mod:`repro.core.packing`
-    (the single source of the width-gated reduction semantics): the
-    effective 4b-4b operand is ``value + delta`` and an operand changed iff
-    its delta is nonzero.  The deltas keep packing's narrow int8 storage --
-    the gated-GEMM assembly is memory bound.
+    Activation tables are indexed by ``x`` (0..255), weight tables by
+    ``w + 128``.  Everything derives from the delta tables in
+    :mod:`repro.core.packing` (the single source of the width-gated
+    reduction semantics): the effective 4b-4b operand is ``value + delta``
+    and an operand changed iff its delta is nonzero.  ``secx`` / ``secw``
+    are the operands an ``Aw`` / ``aW`` pair collision still reduces (the
+    partner does not fit in 4 bits); ``xcls`` / ``wcls`` are the statistics
+    classes ``changed | fits << 1`` (see :func:`_reduced_tables`).
     """
     act = np.arange(256, dtype=np.int64)
     wgt = np.arange(-128, 128, dtype=np.int64)
-    dx = packing._DELTA_LUTS[("act", width_primary)]
-    dw = packing._DELTA_LUTS[("wgt", width_primary)]
+    dx = packing._DELTA_LUTS[("act", width_primary)].astype(np.int64)
+    dw = packing._DELTA_LUTS[("wgt", width_primary)].astype(np.int64)
+    afits = act_fits_4bit(act)
+    wfits = wgt_fits_4bit(wgt)
     return {
-        "x4": act + dx,
-        "w4": wgt + dw,
-        "dx": dx,
-        "dw": dw,
-        "achg": dx != 0,
-        "wchg": dw != 0,
-        "afits": act_fits_4bit(act),
-        "wfits": wgt_fits_4bit(wgt),
+        "x": act, "dx": dx, "x4": act + dx, "secx": act * ~afits,
+        "w": wgt, "dw": dw, "w4": wgt + dw, "secw": wgt * ~wfits,
+        "xcls": (dx != 0) + 2 * afits,
+        "wcls": (dw != 0) + 2 * wfits,
     }
-
-
-def _act_lut_take(lut: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return lut.take(np.clip(x, 0, 255))
-
-
-def _wgt_lut_take(lut: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return lut.take(np.clip(w, -128, 127) + 128)
 
 
 def _popcount4(values: np.ndarray) -> np.ndarray:
     return (values & 1) + ((values >> 1) & 1) + ((values >> 2) & 1) + (
         (values >> 3) & 1
     )
+
+
+def _error_factors(policy: PackingPolicy) -> list[tuple[str, str, str]]:
+    """``(demand gate, left value, right value)`` terms of a thread's error.
+
+    An active thread's error is its effective product minus its exact one.
+    The gate is a condition on the number of *other* active threads:
+    ``eq1`` (a pair collision), ``ge1``, ``ge2`` (a 3-/4-way collision, the
+    4b-4b product ``x4 * w4 = x*w + dx*w + x4*dw = x*w + x*dw + dx*w4``),
+    or ``all`` (no sparsity detection: every position fully collides).
+    """
+    if not policy.sparsity:
+        return [("all", "dx", "w4"), ("all", "x", "dw")]
+    if policy.reduce == "act":
+        if policy.width_secondary:
+            pair = [("eq1", "dx", "secw"), ("ge2", "dx", "w")]
+        else:
+            pair = [("ge1", "dx", "w")]
+        return pair + [("ge2", "x4", "dw")]
+    if policy.width_secondary:
+        pair = [("eq1", "secx", "dw"), ("ge2", "x", "dw")]
+    else:
+        pair = [("ge1", "x", "dw")]
+    return pair + [("ge2", "dx", "w4")]
+
+
+def _fused(gate: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Table of ``gate[pattern] * values[v]`` at index ``pattern + 16 * v``."""
+    return (values[:, None] * gate[None, :]).ravel().astype(np.float32)
+
+
+@lru_cache(maxsize=None)
+def _pattern_blocks(policy: PackingPolicy) -> tuple[tuple[tuple, ...], ...]:
+    """Fused look-up tables of every thread's error blocks.
+
+    Returns, per thread ``t``, ``(pattern, factors)`` entries.  ``pattern``
+    is the 4-bit weight-side activity pattern ``b | 1 << t`` the block is
+    restricted to (``b``: the other threads' weight pattern; ``None``: an
+    ungated block), ``factors`` a tuple of ``(left_table, right_table,
+    left_kind, right_kind)``.  A left table is indexed by ``alpha + 16 * x``
+    and holds ``gate(alpha) * left(x)``: where the weight pattern is
+    ``pattern`` and ``t`` is active, the other active threads are exactly
+    ``alpha & b``, so the demand gate is a function of ``alpha`` alone.  A
+    right table is indexed by ``beta + 16 * (w + 128)`` and holds
+    ``[beta == pattern] * right(w)``.  Entries are small integers, exact in
+    float32.
+    """
+    luts = _value_luts(policy.width_primary)
+    codes = np.arange(16)
+    factors = _error_factors(policy)
+    if not policy.sparsity:
+        ones = np.ones(16, dtype=bool)
+        entry = (None, tuple(
+            (_fused(ones, luts[left]), _fused(ones, luts[right]), left, right)
+            for _, left, right in factors
+        ))
+        return ((entry,),) * 4
+    blocks = []
+    for t in range(4):
+        active = ((codes >> t) & 1).astype(bool)
+        entries = []
+        for b in range(1, 16):
+            if b & (1 << t):
+                continue
+            others = _popcount4(codes & b)
+            gates = {"eq1": others == 1, "ge1": others >= 1, "ge2": others >= 2}
+            pattern = b | (1 << t)
+            entries.append((pattern, tuple(
+                (_fused(active & gates[gate], luts[left]),
+                 _fused(codes == pattern, luts[right]), left, right)
+                for gate, left, right in factors
+                if (active & gates[gate]).any()
+            )))
+        blocks.append(tuple(entries))
+    return tuple(blocks)
 
 
 @lru_cache(maxsize=None)
@@ -759,20 +751,29 @@ def _reduced_tables(policy: PackingPolicy) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def _side_histograms(codes: np.ndarray, axis: int, num_codes: int) -> np.ndarray:
-    """Histogram the codes of one side per K position: returns ``(Kt, codes)``.
+def _activity_pattern(values: np.ndarray) -> np.ndarray:
+    """4-bit nonzero pattern (uint8) of per-thread operands ``(4, ...)``."""
+    pattern = np.zeros(values.shape[1:], dtype=np.uint8)
+    for t in range(values.shape[0]):
+        pattern |= (values[t] != 0).view(np.uint8) << t
+    return pattern
 
-    ``axis`` is the dimension summed over (0 for the ``(M, Kt)`` activation
-    side, 1 for the ``(Kt, N)`` weight side).
+
+def _code_histograms(index: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Per-thread, per-K histograms ``(T, Kt, 64)`` of ``pattern | cls << 4``.
+
+    ``index`` holds the K-major fused indices ``pattern + 16 * v`` of shape
+    ``(T, Kt, ·)`` (``v``: the operand value offset to start at 0) and
+    ``classes[v]`` the 2-bit statistics class of each value.  One bincount
+    per K row keeps every row's counting in cache.
     """
-    if axis == 0:
-        kt = codes.shape[1]
-        keys = codes + num_codes * np.arange(kt, dtype=np.int64)[None, :]
-    else:
-        kt = codes.shape[0]
-        keys = codes + num_codes * np.arange(kt, dtype=np.int64)[:, None]
-    counts = np.bincount(keys.ravel(), minlength=num_codes * kt)
-    return counts.reshape(kt, num_codes)
+    threads, kt = index.shape[:2]
+    counts = np.empty((threads * kt, 4096))
+    for row, values in enumerate(index.reshape(threads * kt, index.shape[2])):
+        counts[row] = np.bincount(values, minlength=4096)
+    fold = (classes[None, :] == np.arange(4)[:, None]).astype(np.float64)
+    hist = fold @ counts.reshape(threads * kt, 256, 16)
+    return hist.astype(np.int64).reshape(threads, kt, 64)
 
 
 def _contract(
@@ -780,6 +781,57 @@ def _contract(
 ) -> int:
     """``sum_k hist_a[k] @ table @ hist_b[k]`` for per-K-column histograms."""
     return int(((hist_a @ table) * hist_b).sum())
+
+
+#: M columns per step of the cache-blocked K-major passes: the transposition
+#: and the assembly of the stacked operand, whose chunks stay in cache
+#: until their GEMM reads them.
+_M_BLOCK = 512
+
+
+def _stacked_gemm(
+    blocks: list[tuple], left_idx: np.ndarray, right_idx: np.ndarray
+) -> np.ndarray:
+    """Exact integer sum of separable blocks, evaluated by stacked GEMMs.
+
+    Each block is ``(t, rows, count, left_table, right_table, bound)`` and
+    stands for ``left_table[left_idx[t][rows]].T @
+    right_table[right_idx[t][rows]]`` (``rows``: the ``count`` selected K
+    rows of thread ``t``, None for all); ``bound`` upper-bounds its
+    product-sum magnitude.  Blocks are stacked along K into exactly
+    evaluable groups (:func:`_exactness_groups`); each group's left operand
+    is assembled in M chunks of :data:`_M_BLOCK` columns, each multiplied
+    while it is in cache.  Returns the ``(M, N)`` int64 result.
+    """
+    m, n = left_idx.shape[2], right_idx.shape[2]
+    # Accumulated transposed, (N, M): rights.T @ lefts runs the GEMM on the
+    # K-major operand without a transposed-operand penalty.
+    total = np.zeros((n, m))
+    for members, dtype in _exactness_groups([block[-1] for block in blocks]):
+        group = [blocks[i] for i in members]
+        rights_t = np.concatenate([
+            right.astype(dtype).take(
+                right_idx[t] if rows is None else right_idx[t][rows])
+            for t, rows, _, _, right, _ in group
+        ]).T.copy()
+        lefts_buffer = np.empty(rights_t.shape[1] * _M_BLOCK, dtype=dtype)
+        tables = [left.astype(dtype, copy=False) for *_, left, _, _ in group]
+        for start in range(0, m, _M_BLOCK):
+            cols = slice(start, start + _M_BLOCK)
+            chunk = min(m - start, _M_BLOCK)
+            lefts = lefts_buffer[: rights_t.shape[1] * chunk].reshape(-1, chunk)
+            pos, gathered = 0, None
+            for (t, rows, count, *_), table in zip(group, tables):
+                if gathered != (t, id(rows)):
+                    gathered = (t, id(rows))
+                    # One intp conversion per chunk, shared by the factors.
+                    left_rows = (left_idx[t, :, cols] if rows is None
+                                 else left_idx[t][rows, cols]).astype(np.intp)
+                np.take(table, left_rows, out=lefts[pos:pos + count],
+                        mode="clip")
+                pos += count
+            total[:, cols] += rights_t @ lefts
+    return np.rint(total.T).astype(np.int64, order="C")
 
 
 def _fast_4t(
@@ -791,200 +843,77 @@ def _fast_4t(
 ) -> tuple[np.ndarray, SMTStatistics | None]:
     """Optimized factorized 4-thread execution.
 
-    The NB-SMT output equals the exact product plus error terms gated by the
-    per-position demand count.  Because the demand indicator of each thread
-    factors into an activation-side and a weight-side binary mask, the gated
-    error sums expand (by inclusion-exclusion over thread subsets) into
-    separable blocks; the blocks are merged where they share a weight-side
-    factor and stacked along the inner dimension into a handful of BLAS
-    GEMMs whose float dtype is chosen by exactness bounds.  Statistics are
-    reconstructed exactly from per-K-column histograms of the 4-bit thread
-    activity patterns (see :func:`_reduced_tables`).
+    The NB-SMT output equals the exact product plus every thread's error.
+    Where thread ``t`` is active its demand is ``1 + popcount(alpha & b)``,
+    with ``alpha`` the activation-side nonzero pattern of the four threads
+    at ``(m, k)`` and ``b`` the other threads' weight-side pattern at
+    ``(k, n)``.  Partitioning the weight positions by their pattern
+    therefore turns each demand gate into a function of ``alpha`` alone, and
+    the error into separable blocks ``(g(alpha) * L) @ ([beta == p] * R)``
+    (:func:`_error_factors`, :func:`_pattern_blocks`).  Each block is one
+    look-up of a fused table into K-major stacked operands, and the stack is
+    evaluated with a few BLAS GEMMs whose float dtype is chosen by exactness
+    bounds.  Statistics are reconstructed exactly from per-K histograms of
+    the same fused indices (see :func:`_reduced_tables`).
 
-    ``prune_blocks`` additionally drops (or narrows to their jointly-active
-    K columns) error blocks whose gated delta/value factors are empty --
-    frequent for sparse or narrow-valued operands, where most reduction
-    deltas vanish (see :class:`_ColumnPruner`; bit-exact).
+    ``prune_blocks`` stacks only the K rows where a block's weight pattern
+    occurs; without it every block spans all K rows.  Bit-exact either way.
     """
     threads = 4
-    amax, wmax = _operand_maxima(x_t, w_t)
-    x16 = _narrowed(x_t, amax)
-    w16 = _narrowed(w_t, wmax)
-    xs = [x16[t] for t in range(threads)]
-    ws = [w16[t] for t in range(threads)]
-    m, kt = xs[0].shape
-    n = ws[0].shape[1]
+    (x_lo, x_hi), (w_lo, w_hi) = _operand_range(x_t), _operand_range(w_t)
+    if x_lo < 0 or x_hi > 255 or w_lo < -128 or w_hi > 127:
+        # The fused tables cover the 8-bit operand contract only.
+        return _reference_multi_t(x_t, w_t, policy, collect_stats, 256)
+    amax, wmax = x_hi, max(-w_lo, w_hi)
+    m, kt = x_t.shape[1:]
+    n = w_t.shape[2]
 
-    exact = _int_gemm(
-        np.concatenate(xs, axis=1),
-        np.concatenate(ws, axis=0),
+    # K-major fused indices alpha + 16 * x, shape (T, Kt, M), and
+    # beta + 16 * (w + 128), shape (T, Kt, N).
+    left_idx = np.empty((threads, kt, m), dtype=np.uint16)
+    for start in range(0, m, _M_BLOCK):
+        cols = slice(start, start + _M_BLOCK)
+        np.copyto(left_idx[:, :, cols], x_t[:, cols].transpose(0, 2, 1),
+                  casting="unsafe")
+    exact = np.ascontiguousarray(_int_gemm(
+        w_t.reshape(threads * kt, n).T,
+        left_idx.reshape(threads * kt, m),
         bound=4.0 * kt * amax * wmax,
-    )
+    ).T)
+    alpha = _activity_pattern(left_idx)
+    left_idx <<= 4
+    left_idx |= alpha
+    beta = _activity_pattern(w_t)
+    right_idx = ((w_t + 128) << 4).astype(np.intp) | beta
 
-    act_masks = [x != 0 for x in xs]
-    wgt_masks = [w != 0 for w in ws]
-    luts = _value_luts(policy.width_primary)
-    # Reduction deltas of the many-way (4b-4b) path: dx = x4 - x, dw = w4 - w.
-    # Both are bounded by _DELTA_MAX, which keeps every error block below in
-    # small float32-friendly range; the pairwise-collision delta of the
-    # reduced operand is the *same* delta (identical width handling), which
-    # lets the pair term merge with the dx (x) w third of the many term.
-    dxs = [_act_lut_take(luts["dx"], x) for x in xs]
-    dws = [_wgt_lut_take(luts["dw"], w) for w in ws]
-
-    accumulator = _ErrorAccumulator(m, n)
-    pruner = _ColumnPruner(kt) if prune_blocks else None
-
-    def gated_add(t, gate_a, left, lkind, gate_w, right, rkind,
-                  bound, scale=1.0, subset_cols=None):
-        """Record thread ``t``'s error block, pruned to its active K columns."""
-        columns = None
-        if pruner is not None:
-            keep, columns = pruner.columns(
-                subset_cols,
-                pruner.side_vector(lkind, t, left, axis=0),
-                pruner.side_vector(rkind, t, right, axis=1),
-            )
-            if not keep:
-                return
-        accumulator.add(gate_a, left, gate_w, right, bound, scale=scale,
-                        columns=columns)
-
-    ones_gate = True  # scalar "no gate" for ungated blocks
-    pair_bound = (
-        float(kt) * _DELTA_MAX * wmax
-        if policy.reduce == "act"
-        else float(kt) * amax * _DELTA_MAX
-    )
-    many_bounds = (
-        float(kt) * _DELTA_MAX * wmax,        # dx (x) w
-        float(kt) * amax * _DELTA_MAX,        # x (x) dw
-        float(kt) * _DELTA_MAX * _DELTA_MAX,  # dx (x) dw
-    )
-
-    if not policy.sparsity:
-        # Every position is a full (>= 3-way) collision:
-        # out = X4 @ W4 = exact + sum_t dx (x) w + x (x) dw + dx (x) dw.
-        for t in range(threads):
-            gated_add(t, ones_gate, dxs[t], "dx",
-                      ones_gate, ws[t], "w", many_bounds[0])
-            gated_add(t, ones_gate, xs[t], "x",
-                      ones_gate, dws[t], "dw", many_bounds[1])
-            gated_add(t, ones_gate, dxs[t], "dx",
-                      ones_gate, dws[t], "dw", many_bounds[2])
-        out = exact + accumulator.total()
-    else:
-        if policy.width_secondary:
-            if policy.reduce == "act":
-                sec_wgt = [w * ~wgt_fits_4bit(w) for w in ws]
-            else:
-                sec_act = [x * ~act_fits_4bit(x) for x in xs]
-
-        # Subset gates: A_S = AND of the act masks, W_S = AND of the wgt
-        # masks.  A block gated by (A_S, W_S) contributes nothing when no K
-        # position has both a nonzero A_S column and a nonzero W_S row.
-        gates: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {
-            (t,): (act_masks[t], wgt_masks[t]) for t in range(threads)
-        }
-        for size in (2, 3, 4):
-            for subset in combinations(range(threads), size):
-                prev_a, prev_w = gates[subset[:-1]]
-                last = subset[-1]
-                gates[subset] = (
-                    prev_a & act_masks[last], prev_w & wgt_masks[last]
-                )
-
-        for size in (2, 3, 4):
-            for subset in combinations(range(threads), size):
-                gate_a, gate_w = gates[subset]
-                # Active K columns of this subset gate: a block gated by
-                # (A_S, W_S) only receives contributions where some row of
-                # A_S and some column of W_S are jointly nonzero.
-                subset_cols = gate_a.any(axis=0) & gate_w.any(axis=1)
-                if not subset_cols.any():
-                    continue
-                c1, c2 = _SUBSET_COEFFS[size - 1]
-                for t in subset:
-                    # Pair error of the reduced operand; when the pair and
-                    # many terms share a factor pair, their coefficients are
-                    # merged into a single block.
-                    if policy.reduce == "act":
-                        pair_dx = c1 if policy.width_secondary else 0.0
-                        merged_dx_w = c2 if policy.width_secondary else c1 + c2
-                        pair_x_dw, merged_x_dw = 0.0, c2
-                    else:
-                        pair_x_dw = c1 if policy.width_secondary else 0.0
-                        merged_x_dw = c2 if policy.width_secondary else c1 + c2
-                        pair_dx, merged_dx_w = 0.0, c2
-                    if pair_dx != 0.0:
-                        gated_add(
-                            t, gate_a, dxs[t], "dx",
-                            gate_w, sec_wgt[t], "secw",
-                            bound=abs(pair_dx) * pair_bound, scale=pair_dx,
-                            subset_cols=subset_cols,
-                        )
-                    if pair_x_dw != 0.0:
-                        gated_add(
-                            t, gate_a, sec_act[t], "seca",
-                            gate_w, dws[t], "dw",
-                            bound=abs(pair_x_dw) * pair_bound, scale=pair_x_dw,
-                            subset_cols=subset_cols,
-                        )
-                    if merged_dx_w != 0.0:
-                        gated_add(
-                            t, gate_a, dxs[t], "dx",
-                            gate_w, ws[t], "w",
-                            bound=abs(merged_dx_w) * many_bounds[0],
-                            scale=merged_dx_w, subset_cols=subset_cols,
-                        )
-                    if merged_x_dw != 0.0:
-                        gated_add(
-                            t, gate_a, xs[t], "x",
-                            gate_w, dws[t], "dw",
-                            bound=abs(merged_x_dw) * many_bounds[1],
-                            scale=merged_x_dw, subset_cols=subset_cols,
-                        )
-                    if c2 != 0.0:
-                        gated_add(
-                            t, gate_a, dxs[t], "dx",
-                            gate_w, dws[t], "dw",
-                            bound=abs(c2) * many_bounds[2], scale=c2,
-                            subset_cols=subset_cols,
-                        )
-        out = exact + accumulator.total()
+    # Which weight patterns occur in each K row.
+    present = np.zeros((kt, 16), dtype=bool)
+    present[np.arange(kt)[:, None], beta] = True
+    left_max = {"x": amax, "secx": amax, "dx": _DELTA_MAX,
+                "x4": amax + _DELTA_MAX}
+    right_max = {"w": wmax, "secw": wmax, "dw": _DELTA_MAX,
+                 "w4": wmax + _DELTA_MAX}
+    blocks = []
+    for t, entries in enumerate(_pattern_blocks(policy)):
+        for pattern, factors in entries:
+            rows, count = None, kt
+            if prune_blocks and pattern is not None:
+                count = int(present[:, pattern].sum())
+                if count < kt:
+                    rows = np.flatnonzero(present[:, pattern])
+            for left, right, left_kind, right_kind in factors:
+                if count:
+                    bound = count * left_max[left_kind] * right_max[right_kind]
+                    blocks.append((t, rows, count, left, right, bound))
+    out = exact + _stacked_gemm(blocks, left_idx, right_idx)
 
     if not collect_stats:
         return out, None
 
     stats = SMTStatistics()
-    alpha = (
-        act_masks[0].astype(np.int64)
-        + 2 * act_masks[1]
-        + 4 * act_masks[2]
-        + 8 * act_masks[3]
-    )
-    beta = (
-        wgt_masks[0].astype(np.int64)
-        + 2 * wgt_masks[1]
-        + 4 * wgt_masks[2]
-        + 8 * wgt_masks[3]
-    )
-    achgs = [_act_lut_take(luts["achg"], x) for x in xs]
-    wchgs = [_wgt_lut_take(luts["wchg"], w) for w in ws]
-    hist_a = [
-        _side_histograms(
-            alpha + 16 * achgs[t] + 32 * act_fits_4bit(xs[t]),
-            axis=0, num_codes=64,
-        )
-        for t in range(threads)
-    ]
-    hist_b = [
-        _side_histograms(
-            beta + 16 * wchgs[t] + 32 * wgt_fits_4bit(ws[t]),
-            axis=1, num_codes=64,
-        )
-        for t in range(threads)
-    ]
+    luts = _value_luts(policy.width_primary)
+    hist_a = _code_histograms(left_idx, luts["xcls"])
+    hist_b = _code_histograms(right_idx, luts["wcls"])
     # 16-bin activity histograms, marginalized from the richer 64-bin ones.
     hist_alpha = hist_a[0].reshape(kt, 4, 16).sum(axis=1)
     hist_beta = hist_b[0].reshape(kt, 4, 16).sum(axis=1)
@@ -1002,8 +931,8 @@ def _fast_4t(
     )
     stats.slots_total = m * kt * n
     stats.slots_active = _contract(hist_alpha, activity["slots"], hist_beta)
-    stats.act_values = int(sum(x.size for x in xs))
-    stats.act_nonzero = int(sum(mask.sum() for mask in act_masks))
+    stats.act_values = threads * m * kt
+    stats.act_nonzero = int(hist_alpha.sum(axis=0) @ _popcount4(np.arange(16)))
     stats.sum_sq_error = float(((out - exact).astype(np.float64) ** 2).sum())
     stats.sum_sq_exact = float((exact.astype(np.float64) ** 2).sum())
     stats.outputs = int(exact.size)
@@ -1151,8 +1080,8 @@ def _reference_multi_t(
 
 
 # ---------------------------------------------------------------------------
-# Legacy factorized 4-thread path (the seed implementation), kept for A/B
-# benchmarking and cross-validation.
+# Legacy factorized 4-thread path (the seed implementation), kept for
+# cross-validation.
 # ---------------------------------------------------------------------------
 
 def _thread_error_factors(
@@ -1186,8 +1115,8 @@ def _thread_manyway_factors(
     separable terms: ``x4 (x) w4 - x (x) w``.
     """
     luts = _value_luts(policy.width_primary)
-    x4 = _act_lut_take(luts["x4"], x_self)
-    w4 = _wgt_lut_take(luts["w4"], w_self)
+    x4 = luts["x4"].take(np.clip(x_self, 0, 255))
+    w4 = luts["w4"].take(np.clip(w_self, -128, 127) + 128)
     return [
         (x4.astype(np.float64), w4.astype(np.float64)),
         (-x_self.astype(np.float64), w_self.astype(np.float64)),
@@ -1224,10 +1153,11 @@ def _fast_4t_legacy(
 ) -> tuple[np.ndarray, SMTStatistics | None]:
     """The seed's factorized 4-thread execution (one GEMM per monomial).
 
-    Bit-identical outputs to :func:`_fast_4t`, but roughly 2-3x slower (it
-    issues ~60 separate float64 GEMMs and recomputes the subset gates for
-    every term) and its ``mac_reduced`` counter is the collision-count
-    proxy rather than the exact reduction count.
+    Bit-identical outputs to :func:`_fast_4t` by an independent derivation
+    (inclusion-exclusion over thread subsets, ~60 separate float64 GEMMs),
+    which is why the property tests keep it as a cross-check oracle.  Its
+    ``mac_reduced`` counter is the collision-count proxy rather than the
+    exact reduction count.
     """
     threads = 4
     xs = [x_t[t].astype(np.int64) for t in range(threads)]

@@ -277,3 +277,88 @@ def test_statistics_payload_roundtrip(rng):
     payload = json.loads(json.dumps(executor.stats.to_payload()))
     rebuilt = SMTStatistics.from_payload(payload)
     assert rebuilt.as_dict() == executor.stats.as_dict()
+
+
+# -- edges of the 4-thread pattern-partitioned path ---------------------------------
+
+_STATS_FIELDS = tuple(SMTStatistics().to_payload())
+
+
+def _assert_4t_matches_reference(x, w, policy, **fast_kwargs):
+    fast = NBSMTMatmul(4, policy, collect_stats=True, **fast_kwargs)
+    reference = NBSMTMatmul(4, policy, collect_stats=True, force_reference=True)
+    out = fast.matmul(x, w)
+    assert np.array_equal(out, reference.matmul(x, w))
+    for field in _STATS_FIELDS:
+        assert getattr(fast.stats, field) == getattr(reference.stats, field), field
+    return out
+
+
+def test_exactness_groups_pack_float32_and_isolate_float64():
+    from repro.core.smt import _F32_EXACT_LIMIT, _exactness_groups
+
+    half = _F32_EXACT_LIMIT / 2
+    groups = _exactness_groups([half - 1, half - 1, half, 2 * half, 3.0])
+    assert groups == [
+        ([0, 1], np.float32), ([3], np.float64), ([2, 4], np.float32),
+    ]
+
+
+@pytest.mark.parametrize("policy", ["S+A", "S+aW", "min"])
+def test_4t_large_k_max_magnitude_uses_float32_groups_and_float64(
+        monkeypatch, policy):
+    """K large enough that single error blocks overflow float32 exactness."""
+    import repro.core.smt as smt
+
+    seen = []
+    groups = smt._exactness_groups
+
+    def spy(bounds):
+        result = groups(bounds)
+        seen.extend(dtype for _, dtype in result)
+        return result
+
+    monkeypatch.setattr(smt, "_exactness_groups", spy)
+    rng = new_rng(7)
+    m, k, n = 3, 4 * 4400, 2
+    x = rng.choice([255, 248, 241], size=(m, k)).astype(np.int64)
+    # Mostly positive weights: the partial sums climb past 2**24.
+    w = rng.choice([127, 113, 127, -128], size=(k, n)).astype(np.int64)
+    x[rng.random((m, k)) < 0.05] = 0
+    w[rng.random((k, n)) < 0.01] = 0
+    _assert_4t_matches_reference(x, w, policy)
+    assert np.float64 in seen
+    assert seen.count(np.float32) >= 2
+
+
+def test_4t_resnet_shaped_row_selection_all_paths_agree():
+    """N = 64, ~1% weight zeros, ~50% activation zeros (eval-4t's regime)."""
+    x, w = make_quantized_pair(new_rng(11), m=300, k=144, n=64,
+                               act_sparsity=0.5, wgt_sparsity=0.01)
+    _, w_t = split_into_threads(x, w, 4)
+    beta = sum((w_t[t] != 0).astype(int) << t for t in range(4))
+    rows_with = [(beta == p).any(axis=1).sum() for p in range(16)]
+    # Some weight patterns occur in only part of the K rows.
+    assert any(0 < count < w_t.shape[1] for count in rows_with)
+    for policy in ALL_POLICIES:
+        pruned = _assert_4t_matches_reference(x, w, policy, prune_blocks=True)
+        unpruned = _assert_4t_matches_reference(x, w, policy, prune_blocks=False)
+        legacy = NBSMTMatmul(4, policy, collect_stats=False, fast4t_impl="legacy")
+        assert np.array_equal(pruned, unpruned)
+        assert np.array_equal(pruned, legacy.matmul(x, w))
+
+
+@pytest.mark.parametrize("shapes", [((0, 8), (8, 3)), ((5, 0), (0, 3)),
+                                    ((5, 8), (8, 0)), ((1, 1), (1, 1))])
+def test_4t_degenerate_shapes_match_reference(shapes):
+    x = np.full(shapes[0], 200, dtype=np.int64)
+    w = np.full(shapes[1], -100, dtype=np.int64)
+    for prune_blocks in (True, False):
+        out = _assert_4t_matches_reference(x, w, "S+A", prune_blocks=prune_blocks)
+        assert out.shape == (shapes[0][0], shapes[1][1])
+
+
+def test_4t_operands_outside_8_bits_take_the_reference_semantics():
+    x = np.array([[300, 5, 0, 17]])
+    w = np.array([[3], [100], [-5], [7]])
+    _assert_4t_matches_reference(x, w, "S+A")

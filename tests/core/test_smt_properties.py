@@ -21,7 +21,11 @@ from hypothesis import given, strategies as st
 from repro.core.policies import POLICY_NAMES
 from repro.core.smt import NBSMTMatmul, SMTStatistics
 from repro.systolic.sysmt import SySMTArray
-from tests.strategies import SLOW_SETTINGS, STANDARD_SETTINGS
+from tests.strategies import (
+    DETERMINISM_SETTINGS,
+    SLOW_SETTINGS,
+    STANDARD_SETTINGS,
+)
 
 #: Values that exercise every branch of the collision logic: zeros
 #: (sparsity), 4-bit fits, multiples of 16 (zero reduction delta), rounding
@@ -44,7 +48,9 @@ def nbsmt_case(draw, max_m: int = 24, max_k: int = 40, max_n: int = 12):
     n = draw(st.integers(1, max_n))
     seed = draw(st.integers(0, 2**32 - 1))
     act_sparsity = draw(st.sampled_from([0.0, 0.3, 0.6, 0.9]))
-    wgt_sparsity = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    # 0.01: nearly dense weights, where most weight activity patterns
+    # occur in only some K rows (the 4-thread path's row selection).
+    wgt_sparsity = draw(st.sampled_from([0.0, 0.01, 0.2, 0.5]))
     special_fraction = draw(st.sampled_from([0.0, 0.3, 1.0]))
     threads = draw(st.sampled_from([2, 4]))
     policy = draw(st.sampled_from(POLICY_NAMES))
@@ -91,6 +97,21 @@ def test_optimized_4t_matches_legacy_4t(case):
     optimized = NBSMTMatmul(4, policy, collect_stats=False)
     legacy = NBSMTMatmul(4, policy, collect_stats=False, fast4t_impl="legacy")
     np.testing.assert_array_equal(optimized.matmul(x, w), legacy.matmul(x, w))
+
+
+@pytest.mark.slow
+@DETERMINISM_SETTINGS
+@given(case=nbsmt_case(), prune_blocks=st.booleans())
+def test_4t_factorized_reference_legacy_agree_determinism_tier(case, prune_blocks):
+    """The 4-thread path against both oracles, at the determinism budget."""
+    x, w, _, policy = case
+    fast = NBSMTMatmul(4, policy, collect_stats=True, prune_blocks=prune_blocks)
+    reference = NBSMTMatmul(4, policy, collect_stats=True, force_reference=True)
+    legacy = NBSMTMatmul(4, policy, collect_stats=False, fast4t_impl="legacy")
+    out_fast = fast.matmul(x, w)
+    np.testing.assert_array_equal(out_fast, reference.matmul(x, w))
+    np.testing.assert_array_equal(out_fast, legacy.matmul(x, w))
+    _assert_stats_equal(fast.stats, reference.stats, f"{policy}/T4")
 
 
 @STANDARD_SETTINGS

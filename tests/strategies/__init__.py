@@ -26,6 +26,7 @@ from tests.strategies.serving import (
     rung_counts,
 )
 from tests.strategies.settings import (
+    DETERMINISM_SETTINGS,
     QUICK_SETTINGS,
     SLOW_SETTINGS,
     STANDARD_SETTINGS,
@@ -33,6 +34,7 @@ from tests.strategies.settings import (
 )
 
 __all__ = [
+    "DETERMINISM_SETTINGS",
     "QUICK_SETTINGS",
     "SLOW_SETTINGS",
     "STANDARD_SETTINGS",

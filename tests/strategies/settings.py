@@ -9,6 +9,9 @@ is consistent suite-wide and can be scaled globally:
 * ``SLOW_SETTINGS``          -- examples that run the explicit simulators.
 * ``STATE_MACHINE_SETTINGS`` -- ``RuleBasedStateMachine`` runs: fewer
                                 examples, each a long rule sequence.
+* ``DETERMINISM_SETTINGS``   -- bit-exactness cross-checks in the ``slow``
+                                lane, checked harder than the fast
+                                profile's time budget allows.
 
 The ``REPRO_PROPERTY_SCALE`` environment variable multiplies the example
 counts (e.g. ``REPRO_PROPERTY_SCALE=10`` for a thorough overnight run).
@@ -38,3 +41,5 @@ SLOW_SETTINGS = _profile(15)
 #: Stateful machines: each example is a whole rule sequence, so the
 #: budget buys depth (steps per run) rather than example count.
 STATE_MACHINE_SETTINGS = _profile(20, stateful_step_count=30)
+#: Bit-exactness cross-checks; used only by ``slow``-marked tests.
+DETERMINISM_SETTINGS = _profile(500)
