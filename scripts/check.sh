@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 repo check: byte-compile the package and run the fast test profile.
+# Tier-1 repo check: byte-compile the package, print the .py line count of
+# src/ + benchmarks/, and run the fast test profile.
 #
 # Usage: scripts/check.sh [--all|--serve|--telemetry|--alerts|--trace|--cluster|--chaos|--soak|--soak-long]
 #                         [extra args...]
@@ -45,6 +46,8 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== compileall =="
 python -m compileall -q src benchmarks perfbench
+# The tracked simplicity number: net .py lines of src/ + benchmarks/.
+echo "== .py lines in src/ + benchmarks/: $(find src benchmarks -name '*.py' -exec cat {} + | wc -l | tr -d ' ') =="
 
 echo "== pytest =="
 # (No intermediate array: expanding an empty array under `set -u` breaks

@@ -445,12 +445,16 @@ class ClockPerturber:
         return jump
 
     def wrap_runner(self, runner):
-        """``runner`` plus a seeded pre-execution delay per batch."""
+        """``runner`` plus a seeded pre-execution delay per batch.
 
-        def perturbed(payloads):
+        Forwards keywords such as the batcher's ``trace=`` carrier: a
+        batcher decides when it is built whether its runner takes one.
+        """
+
+        def perturbed(payloads, **kwargs):
             delay = self.rng.uniform(0.0, self.max_delay_s)
             if delay > 0:
                 time.sleep(delay)
-            return runner(payloads)
+            return runner(payloads, **kwargs)
 
         return perturbed

@@ -3,12 +3,13 @@
 The chaos suite and the soak lane both need the same thing: the real
 serving data path (warm replica pool -> dynamic batcher -> admission
 controller -> endpoint metrics) assembled in-process where fault actors
-can reach its moving parts, and an open-loop arrival
-driver whose per-request accounting feeds a
+can reach its moving parts, and an open-loop arrival driver whose
+per-request accounting feeds a
 :class:`~repro.chaos.invariants.ResponseLedger`.  This module is that
-shared harness -- the HTTP front-end is deliberately absent (the sharded
-chaos tests cover it end-to-end); everything below the route layer is the
-identical production code.
+shared harness.  Both stacks are a real
+:class:`~repro.serve.server.NBSMTServer` assembled by its own code:
+:class:`ServingStack` stops short of the listener (the driver enters
+below the route layer), :class:`HttpStack` adds it.
 """
 
 from __future__ import annotations
@@ -20,12 +21,20 @@ from repro.serve.deadline import Deadline, DeadlineExceeded
 
 
 class ServingStack:
-    """One endpoint's in-process serving stack, built for fault injection.
+    """One endpoint's production serving stack, built for fault injection.
+
+    A real :class:`~repro.serve.server.NBSMTServer` whose endpoints its
+    own :meth:`~repro.serve.server.NBSMTServer.build_endpoints` assembled
+    -- governor, ``batch_served`` events, tracer and batcher worker count
+    are the production wiring -- with no listener.  Fault actors reach
+    :attr:`batcher` (``server.batchers[name]``), :attr:`metrics`
+    (``server.metrics.endpoint(name)``), :attr:`admission` and the pool.
 
     ``fork_workers > 0`` backs the endpoint with forked worker processes
     (the :class:`~repro.chaos.actors.ProcessReaper`'s victims);
-    ``runner_wrap`` interposes on the batch runner (the
-    :class:`~repro.chaos.actors.ClockPerturber`'s injection point).
+    ``runner_wrap`` interposes on the built batcher's runner (the
+    :class:`~repro.chaos.actors.ClockPerturber`'s injection point) and
+    must forward ``trace=``.  Remaining keywords go to the server.
     """
 
     def __init__(
@@ -41,12 +50,11 @@ class ServingStack:
         warm: bool = True,
         runner_wrap=None,
         images=None,
-        **spec_overrides,
+        **server_kwargs,
     ):
-        from repro.serve.batcher import DynamicBatcher
-        from repro.serve.metrics import EndpointMetrics
         from repro.serve.pool import EnginePool
         from repro.serve.registry import default_registry
+        from repro.serve.server import NBSMTServer
 
         self.registry = default_registry(
             models=[model],
@@ -54,7 +62,6 @@ class ServingStack:
             max_batch=max_batch,
             max_wait_ms=max_wait_ms,
             max_pending=max_pending,
-            **spec_overrides,
         )
         self.spec = self.registry.get(model)
         self.pool = EnginePool(
@@ -64,21 +71,16 @@ class ServingStack:
             provider=provider,
             warm=warm,
         )
-        self.metrics = EndpointMetrics(
-            self.spec.name, batch_capacity=self.spec.max_batch
+        self.server = NBSMTServer(
+            self.registry, scale=scale, pool=self.pool, **server_kwargs
         )
-        self.admission = self.registry.admission(self.spec.name)
-        runner = self.pool.runner_for(self.spec.name, metrics=self.metrics)
+        self.server.build_endpoints()
+        name = self.spec.name
+        self.batcher = self.server.batchers[name]
         if runner_wrap is not None:
-            runner = runner_wrap(runner)
-        self.batcher = DynamicBatcher(
-            runner,
-            max_batch=self.spec.max_batch,
-            max_wait=self.spec.max_wait_ms / 1000.0,
-            on_batch=self.metrics.record_batch,
-            workers=max(1, self.pool.replica_count(self.spec.name)),
-            name=f"chaos-{self.spec.name}",
-        )
+            self.batcher.runner = runner_wrap(self.batcher.runner)
+        self.metrics = self.server.metrics.endpoint(name)
+        self.admission = self.registry.admission(name)
         # Drive images come from the zoo (or the caller), not a replica's
         # harness: with fork workers the parent keeps no harness, and a
         # reaped replica must not take the driver's input data with it.
@@ -96,8 +98,9 @@ class ServingStack:
         return self.pool.replica_set(self.spec.name).health()
 
     def close(self) -> None:
-        self.batcher.close()
-        self.pool.close()
+        import asyncio
+
+        asyncio.run(self.server.stop())
 
 
 def drive_open_loop(
@@ -229,53 +232,24 @@ def drive_open_loop(
     }
 
 
-class HttpStack:
-    """A real :class:`~repro.serve.server.NBSMTServer` on a background
-    event-loop thread, for faults that need actual TCP sockets.
+class HttpStack(ServingStack):
+    """A :class:`ServingStack` listening on a real TCP port from a
+    background event-loop thread, for faults that need actual sockets.
 
     :class:`~repro.chaos.actors.NetworkMangler` abuses live connections
-    (slow-loris, half-open, byte-drip), so the in-process
-    :class:`ServingStack` cannot host it -- this helper runs the full HTTP
+    (slow-loris, half-open, byte-drip), so this stack adds the HTTP
     front-end (socket hardening included) and exposes the address, the
-    server object (for connection/eviction counters), and a blocking
+    server (for connection/eviction counters), and a blocking
     :meth:`probe` that well-behaved traffic uses to prove the server kept
     serving alongside the mangled connections.
     """
 
-    def __init__(
-        self,
-        model: str = "resnet18",
-        scale: str = "fast",
-        threads: int = 2,
-        max_batch: int = 8,
-        max_wait_ms: float = 2.0,
-        max_pending: int = 64,
-        provider=None,
-        warm: bool = True,
-        start_timeout_s: float = 600.0,
-        **server_kwargs,
-    ):
+    def __init__(self, start_timeout_s: float = 600.0, **kwargs):
         import asyncio
         import threading
 
-        from repro.serve.registry import default_registry
-        from repro.serve.server import NBSMTServer
-
-        self.registry = default_registry(
-            models=[model],
-            threads=threads,
-            max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
-            max_pending=max_pending,
-        )
-        from repro.serve.pool import EnginePool
-
-        pool = EnginePool(
-            self.registry, scale=scale, provider=provider, warm=warm
-        )
-        self.server = NBSMTServer(
-            self.registry, pool=pool, port=0, **server_kwargs
-        )
+        kwargs.setdefault("port", 0)
+        super().__init__(**kwargs)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, daemon=True, name="chaos-http"

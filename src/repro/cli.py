@@ -172,14 +172,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         for name in names:
             module = EXPERIMENTS[name]
-            start = time.time()
+            start = time.monotonic()
             print(f"\n=== {name} ===")
             telemetry_bus.publish("experiment_started", name=name)
             result = module.run(scale=args.scale, session=session)
             if ticker is not None:
                 ticker.pause()
             print(module.format_result(result))
-            print(f"[{name} finished in {time.time() - start:.1f}s]")
+            print(f"[{name} finished in {time.monotonic() - start:.1f}s]")
             if ticker is not None:
                 ticker.resume()
     finally:
@@ -295,14 +295,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        from repro.cluster.documents import DocumentStore
-        from repro.cluster.transport import RemoteSpoolWriter, SocketTransport
-        from repro.serve.sharding import ShardMetricsExchange
-        from repro.telemetry import bus as telemetry_bus
-        from repro.telemetry.coordinator import (
-            QoSCoordinator,
-            ShardStateChannel,
-        )
+        from repro.cluster.transport import SocketTransport
+        from repro.serve.sharding import serve_member
 
         index, count = args.fed_index, args.fed_count
         if not 0 <= index < count:
@@ -311,27 +305,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         transport = SocketTransport(
             args.federate, node=f"serve-{index}", role="serve"
         )
-        exchange = ShardMetricsExchange(
-            None, index, count, store=DocumentStore(transport, "exchange")
-        )
-        coordinator = None
-        if not args.no_coordinate:
-            coordinator = QoSCoordinator(
-                ShardStateChannel(
-                    None, index, count, store=DocumentStore(transport, "qos")
-                ),
-                min_publish_s=1.0,
-                gather_cache_s=0.1,
-            )
-        telemetry_bus.get_bus().attach_spool_sink(
-            RemoteSpoolWriter(transport, "telemetry", role="serve")
-        )
-        run_server(
-            registry=registry,
-            shard_exchange=exchange,
-            shard_index=index,
-            coordinator=coordinator,
-            **server_kwargs,
+        serve_member(
+            registry, transport, index, count,
+            coordinate=not args.no_coordinate, **server_kwargs,
         )
         return 0
     if args.shards > 1:
@@ -344,7 +320,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             registry,
             shards=args.shards,
             exchange_dir=shard_kwargs.pop("telemetry_dir"),
-            exchange_budget_bytes=shard_kwargs.pop("spool_budget_bytes"),
             coordinate=not args.no_coordinate,
             **shard_kwargs,
         )

@@ -57,7 +57,8 @@ its event relay (rules with hysteresis/min-duration/cooldown; lifecycle
 events published back onto the bus, so ``/v1/events`` SSE streams and
 spools carry them for free), persists ``endpoint_health`` /
 ``rung_transition`` / alert events into a size-rotated history ring
-(``<telemetry_dir>/history`` by default) replayed on restart, publishes
+(``<telemetry_dir>/history``, with the trace ring beside it in
+``<telemetry_dir>/traces``) replayed on restart, publishes
 a ``spool_health`` corruption heartbeat, and -- with
 ``probe_interval_s > 0`` -- sends synthetic per-endpoint probe requests
 through the real batcher/engine path (``probe_result`` events feed the
@@ -186,7 +187,6 @@ class NBSMTServer:
         fork_workers: int = 0,
         host: str = "127.0.0.1",
         port: int = 8421,
-        warm: bool = True,
         pool: EnginePool | None = None,
         sock=None,
         qos: QoSConfig | None = None,
@@ -206,10 +206,8 @@ class NBSMTServer:
         alert_webhook: str | None = None,
         alert_routes=None,
         probe_interval_s: float = 0.0,
-        history_dir: str | None = None,
         tracing: bool = True,
         trace_sample: float = 0.1,
-        trace_dir: str | None = None,
         clock=time.monotonic,
     ):
         self.registry = registry or default_registry()
@@ -218,7 +216,7 @@ class NBSMTServer:
         self.port = port
         self.metrics = MetricsRegistry()
         self.pool = pool or EnginePool(
-            self.registry, scale=scale, fork_workers=fork_workers, warm=warm
+            self.registry, scale=scale, fork_workers=fork_workers
         )
         self.batchers: dict[str, DynamicBatcher] = {}
         self.governors: dict[str, EndpointGovernor] = {}
@@ -265,16 +263,15 @@ class NBSMTServer:
         self.probe_interval_s = float(probe_interval_s)
         self._probe_arrays: dict[str, np.ndarray] = {}
         self._last_corrupt_lines = 0
-        history_path = history_dir
-        if history_path is None and telemetry_dir is not None:
-            # A subdirectory keeps the history ring out of the relay
-            # follower's glob (its events would otherwise re-ingest).
-            history_path = os.path.join(str(telemetry_dir), "history")
         if alerts:
             from repro.telemetry import alerts as telemetry_alerts
 
-            if history_path is not None:
-                self.history = telemetry_alerts.AlertHistoryStore(history_path)
+            if telemetry_dir is not None:
+                # A subdirectory keeps the history ring out of the relay
+                # follower's glob (its events would otherwise re-ingest).
+                self.history = telemetry_alerts.AlertHistoryStore(
+                    os.path.join(str(telemetry_dir), "history")
+                )
             rules = (
                 list(alert_rules) if alert_rules is not None
                 else telemetry_alerts.default_rules()
@@ -322,13 +319,12 @@ class NBSMTServer:
             self.tracer = Tracer(
                 publish=telemetry_bus.publish, sample_rate=trace_sample
             )
-            trace_path = trace_dir
-            if trace_path is None and telemetry_dir is not None:
+            if telemetry_dir is not None:
                 # Same trick as the history ring: a subdirectory keeps the
                 # trace ring out of the relay follower's glob.
-                trace_path = os.path.join(str(telemetry_dir), "traces")
-            if trace_path is not None:
-                self.trace_store = TraceStore(trace_path)
+                self.trace_store = TraceStore(
+                    os.path.join(str(telemetry_dir), "traces")
+                )
                 self._trace_callback = bus.subscribe(
                     callback=self.trace_store.record
                 )
@@ -356,8 +352,13 @@ class NBSMTServer:
         self._idempotency: OrderedDict[str, object] = OrderedDict()
 
     # -- endpoint assembly -------------------------------------------------
-    def _build_endpoints(self) -> None:
-        """Warm every registered endpoint and start its batcher."""
+    def build_endpoints(self) -> None:
+        """Warm every registered endpoint and start its batcher.
+
+        Idempotent: endpoints already built are skipped, so an in-process
+        stack (:class:`repro.chaos.drive.ServingStack`) can build them
+        before :meth:`start` without building them twice.
+        """
         for name in self.registry.names():
             if name in self.batchers:
                 continue
@@ -418,12 +419,13 @@ class NBSMTServer:
 
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
-        """Warm the endpoints and start listening (sets :attr:`port`)."""
+        """Warm the endpoints and start listening (sets :attr:`host` and
+        :attr:`port` from the bound socket)."""
         self._stop_event = asyncio.Event()
         loop = asyncio.get_running_loop()
         # Endpoint warm-up trains/calibrates on first use; keep it off the
         # event loop thread so health checks stay responsive once up.
-        await loop.run_in_executor(None, self._build_endpoints)
+        await loop.run_in_executor(None, self.build_endpoints)
         if self._sock is not None:
             self._server = await asyncio.start_server(
                 self._handle_connection, sock=self._sock
@@ -436,7 +438,9 @@ class NBSMTServer:
             )
         sockets = self._server.sockets or []
         if sockets:
-            self.port = sockets[0].getsockname()[1]
+            # The bound address, not the constructor's: a shard listening
+            # on an inherited socket reports where it really listens.
+            self.host, self.port = sockets[0].getsockname()[:2]
         if any(
             governor.controller is not None
             for governor in self.governors.values()

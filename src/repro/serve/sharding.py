@@ -22,11 +22,15 @@ the freshest payload of every peer with its own live state
 (:func:`repro.serve.metrics.merge_registry_payloads`), so the merged
 histograms and SMT statistics are exactly what one process serving all the
 traffic would have recorded.
+
+A shard joins the service through :func:`serve_member`, the same function
+a ``--federate`` process runs; the two differ only in the cluster
+transport behind the exchange (a local directory here, a socket to a
+cluster agent there).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import signal
@@ -87,29 +91,15 @@ class ShardMetricsExchange:
     impossible; a peer that stopped publishing is surfaced with its age.
     """
 
-    def __init__(
-        self, directory: str | None, shard_index: int, shard_count: int,
-        budget=None, store: DocumentStore | None = None,
-    ):
-        if store is None:
-            if directory is None:
-                raise ValueError(
-                    "ShardMetricsExchange needs a directory or store"
-                )
-            os.makedirs(directory, exist_ok=True)
-            #: Optional :class:`repro.utils.diskbudget.DiskBudget` over
-            #: the exchange directory.  A publish that would bust the
-            #: quota (or hits real ENOSPC) is skipped and counted: peers
-            #: keep merging this shard's *previous* document until it
-            #: goes stale -- exactly the degradation already defined for
-            #: a crashed publisher.  Only the net growth over the
-            #: previous document charges against the quota.
-            store = DocumentStore.for_directory(directory, budget=budget)
+    def __init__(self, store: DocumentStore, shard_index: int, shard_count: int):
+        #: The store's optional :class:`repro.utils.diskbudget.DiskBudget`
+        #: bounds publishes.  A publish that would bust the quota (or hits
+        #: real ENOSPC) is skipped and counted: peers keep merging this
+        #: shard's *previous* document until it goes stale -- exactly the
+        #: degradation already defined for a crashed publisher.
         self.store = store
-        self.directory = str(directory) if directory is not None else None
         self.shard_index = int(shard_index)
         self.shard_count = int(shard_count)
-        self.budget = store.budget
 
     @property
     def corrupt_documents(self) -> int:
@@ -196,6 +186,71 @@ class ShardMetricsExchange:
         return payloads, sources
 
 
+def serve_member(
+    registry,
+    transport,
+    index: int,
+    count: int,
+    coordinate: bool = True,
+    **server_kwargs,
+) -> None:
+    """Run member ``index`` of a ``count``-process service until it stops.
+
+    Members share three spaces of ``transport``: ``exchange`` (mergeable
+    metrics), ``qos`` (the coordinator's quorum, when ``coordinate``) and
+    ``telemetry`` (the event spool).  A ``--shards`` child passes a
+    :class:`~repro.cluster.transport.LocalDirTransport` over the shared
+    exchange directory: its event spool is a local spool in the
+    ``telemetry`` space, and ``spool_budget_bytes`` bounds both that spool
+    and its exchange documents.  A ``--federate`` process passes a
+    :class:`~repro.cluster.transport.SocketTransport`: its events stream
+    to the agent, and a ``telemetry_dir`` keeps only its alert history
+    and trace rings.  Everything else in ``server_kwargs`` reaches
+    :class:`~repro.serve.server.NBSMTServer` unchanged.
+    """
+    from repro.cluster.transport import LocalDirTransport, RemoteSpoolWriter
+    from repro.serve.server import run_server
+    from repro.telemetry import bus as telemetry_bus
+    from repro.telemetry.coordinator import QoSCoordinator, ShardStateChannel
+
+    exchange_budget = None
+    if isinstance(transport, LocalDirTransport):
+        server_kwargs["telemetry_dir"] = transport.space_dir("telemetry")
+        budget_bytes = server_kwargs.get("spool_budget_bytes", 0)
+        if budget_bytes > 0:
+            from repro.utils.diskbudget import DiskBudget
+
+            exchange_budget = DiskBudget(
+                transport.space_dir("exchange"), budget_bytes,
+                name=f"shard-exchange-{index}",
+            )
+    else:
+        telemetry_bus.get_bus().attach_spool_sink(
+            RemoteSpoolWriter(transport, "telemetry", role="serve")
+        )
+    exchange = ShardMetricsExchange(
+        DocumentStore(transport, "exchange", budget=exchange_budget),
+        index, count,
+    )
+    coordinator = None
+    if coordinate:
+        # Throttle channel I/O: unchanged desires republish at 1s (well
+        # inside the 5s staleness horizon) and the endpoints of one QoS
+        # tick share a single gathered snapshot.
+        coordinator = QoSCoordinator(
+            ShardStateChannel(DocumentStore(transport, "qos"), index, count),
+            min_publish_s=1.0,
+            gather_cache_s=0.1,
+        )
+    run_server(
+        registry=registry,
+        shard_exchange=exchange,
+        shard_index=index,
+        coordinator=coordinator,
+        **server_kwargs,
+    )
+
+
 def _shard_main(
     index: int,
     sockets: list[socket.socket],
@@ -204,7 +259,6 @@ def _shard_main(
     exchange_dir: str,
     server_kwargs: dict,
     coordinate: bool,
-    exchange_budget_bytes: int = 0,
 ) -> None:
     """One shard process: a full server on an inherited bound socket.
 
@@ -218,11 +272,8 @@ def _shard_main(
     to this shard's own listener leaking into processes *it* forks
     (engine pool workers): the at-fork hook closes it in every child.
     """
-    import asyncio
-
-    from repro.serve.server import NBSMTServer
+    from repro.cluster.transport import LocalDirTransport
     from repro.telemetry import bus as telemetry_bus
-    from repro.telemetry.coordinator import QoSCoordinator, ShardStateChannel
 
     sock = sockets[index]
     for peer_index, peer_sock in enumerate(sockets):
@@ -232,37 +283,17 @@ def _shard_main(
 
     parallel.IN_POOL_WORKER = False
     telemetry_bus.get_bus().reset_after_fork(role="serve", shard=index)
-    exchange_budget = None
-    if exchange_budget_bytes > 0:
-        from repro.utils.diskbudget import DiskBudget
-
-        exchange_budget = DiskBudget(
-            exchange_dir, exchange_budget_bytes,
-            name=f"shard-exchange-{index}",
-        )
-    exchange = ShardMetricsExchange(
-        exchange_dir, index, shard_count, budget=exchange_budget
+    # The pre-cluster layout: shard-<i>.json and qos-shard-<i>.json side
+    # by side at the root, the event spool under telemetry/.
+    transport = LocalDirTransport(spaces={
+        "exchange": exchange_dir,
+        "qos": exchange_dir,
+        "telemetry": os.path.join(exchange_dir, "telemetry"),
+    })
+    serve_member(
+        registry, transport, index, shard_count, coordinate,
+        sock=sock, **server_kwargs,
     )
-    coordinator = None
-    if coordinate:
-        # Throttle channel I/O: unchanged desires republish at 1s (well
-        # inside the 5s staleness horizon) and the endpoints of one QoS
-        # tick share a single gathered snapshot.
-        coordinator = QoSCoordinator(
-            ShardStateChannel(exchange_dir, index, shard_count),
-            min_publish_s=1.0,
-            gather_cache_s=0.1,
-        )
-    server = NBSMTServer(
-        registry,
-        sock=sock,
-        shard_exchange=exchange,
-        shard_index=index,
-        coordinator=coordinator,
-        telemetry_dir=os.path.join(exchange_dir, "telemetry"),
-        **server_kwargs,
-    )
-    asyncio.run(server.serve_forever())
 
 
 def run_sharded(
@@ -272,7 +303,6 @@ def run_sharded(
     port: int = 8421,
     exchange_dir: str | None = None,
     coordinate: bool = True,
-    exchange_budget_bytes: int = 0,
     **server_kwargs,
 ) -> None:
     """Fork ``shards`` server processes sharing one listening address.
@@ -284,7 +314,10 @@ def run_sharded(
     so any shard's ``/v1/events`` (and ``/dashboard``) streams the whole
     service.  ``coordinate=True`` (the default) runs the cross-shard QoS
     coordinator: adaptive endpoints converge to one service-wide rung
-    instead of every shard walking its ladder blind to the others.
+    instead of every shard walking its ladder blind to the others.  The
+    remaining ``server_kwargs`` reach every shard's server through
+    :func:`serve_member`; ``spool_budget_bytes`` bounds each shard's
+    telemetry spool and its exchange documents.
     """
     if shards < 2:
         raise ValueError("sharding needs at least 2 shards")
@@ -309,7 +342,7 @@ def run_sharded(
             process = context.Process(
                 target=_shard_main,
                 args=(index, sockets, registry, shards, exchange_dir,
-                      dict(server_kwargs), coordinate, exchange_budget_bytes),
+                      dict(server_kwargs), coordinate),
                 name=f"serve-shard-{index}",
             )
             process.start()

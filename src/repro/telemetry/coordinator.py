@@ -47,29 +47,16 @@ class ShardStateChannel:
     """Atomic-rename publish/gather of per-shard QoS state documents.
 
     The channel is a thin client of the cluster substrate: documents live
-    in a :class:`~repro.cluster.documents.DocumentStore`, which defaults
-    to the shared local directory (bit-compatible with the pre-cluster
-    layout) but may be a socket-backed store -- shards on *different
-    machines* then join one QoS quorum through a hub agent.  Liveness is
-    the generalized rule: a fresh heartbeat, plus a live pid when the
-    publisher runs on this host (a remote publisher's pid is unprobeable;
-    staleness alone evicts it).
+    in a :class:`~repro.cluster.documents.DocumentStore` -- the shared
+    local directory of a ``--shards`` service, or a socket-backed store
+    through which servers on *different machines* join one QoS quorum.
+    Liveness is the generalized rule: a fresh heartbeat, plus a live pid
+    when the publisher runs on this host (a remote publisher's pid is
+    unprobeable; staleness alone evicts it).
     """
 
-    def __init__(
-        self,
-        directory: str | None,
-        shard_index: int,
-        shard_count: int,
-        store: DocumentStore | None = None,
-    ):
-        if store is None:
-            if directory is None:
-                raise ValueError("ShardStateChannel needs a directory or store")
-            os.makedirs(str(directory), exist_ok=True)
-            store = DocumentStore.for_directory(str(directory))
+    def __init__(self, store: DocumentStore, shard_index: int, shard_count: int):
         self.store = store
-        self.directory = str(directory) if directory is not None else None
         self.shard_index = int(shard_index)
         self.shard_count = int(shard_count)
 
@@ -179,7 +166,10 @@ class QoSCoordinator:
         decide lock).  ``min_publish_s`` skips a flush whose state is
         unchanged and recent; ``gather_cache_s`` reuses one gathered
         snapshot across the endpoints of a tick.  Both default to 0
-        (always fresh), which the deterministic tests rely on.
+        (always fresh), which the deterministic tests rely on.  Both are
+        timed on the monotonic clock: a wall clock stepped back must not
+        stop an unchanged shard republishing (it would drop out of its
+        peers' quorum) or pin a stale gather.
         """
         self.channel = channel
         self.stale_after_s = float(stale_after_s)
@@ -222,7 +212,7 @@ class QoSCoordinator:
         still republish before it would go stale, or peers would drop
         this shard from the quorum.
         """
-        now = time.time()
+        now = time.monotonic()
         with self._lock:
             endpoints = {
                 name: dict(entry) for name, entry in self._local.items()
@@ -240,7 +230,7 @@ class QoSCoordinator:
             pass
 
     def _gather(self) -> dict[int, dict]:
-        now = time.time()
+        now = time.monotonic()
         with self._lock:
             if (
                 self._gathered is not None

@@ -170,9 +170,7 @@ def test_federated_quorum_reconverges_after_peer_machine_loss(tmp_path):
     agent.start_in_thread()
     transport = SocketTransport(agent.address, node="serve-0")
     try:
-        channel = ShardStateChannel(
-            None, 0, 2, store=DocumentStore(transport, "qos")
-        )
+        channel = ShardStateChannel(DocumentStore(transport, "qos"), 0, 2)
         channel.publish({"model": {"desired": 1, "held": False}})
         # A peer machine in the quorum, wanting deeper degradation.
         DocumentStore(transport, "qos").put("qos-shard-1.json", {

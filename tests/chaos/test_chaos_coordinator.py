@@ -21,7 +21,7 @@ import pytest
 
 from repro.chaos.actors import PeerFreezer, ProcessReaper, SpoolCorruptor
 from repro.chaos.invariants import InvariantChecker
-from repro.cluster.documents import pid_alive
+from repro.cluster.documents import DocumentStore, pid_alive
 from repro.eval.parallel import fork_available
 from repro.telemetry.coordinator import ShardStateChannel, recommend_level
 
@@ -40,7 +40,9 @@ BOUND_S = 30.0
 
 
 def _publisher_main(directory, index, shard_count, desired):
-    channel = ShardStateChannel(directory, index, shard_count)
+    channel = ShardStateChannel(
+        DocumentStore.for_directory(directory), index, shard_count
+    )
     while True:
         channel.publish(
             {ENDPOINT: {
@@ -86,7 +88,7 @@ def _await_recommendation(observer, expected, *, bound_s=BOUND_S):
 
 def test_frozen_peer_leaves_the_quorum_and_rejoins_on_thaw(tmp_path):
     directory = str(tmp_path)
-    observer = ShardStateChannel(directory, 0, 3)
+    observer = ShardStateChannel(DocumentStore.for_directory(directory), 0, 3)
     freezer = PeerFreezer()
     reaper = ProcessReaper(random.Random(0))
     checker = InvariantChecker()
@@ -153,8 +155,8 @@ def test_corrupt_shard_document_drops_out_without_crashing(tmp_path):
     """A corrupted state document (disk fault, foreign writer) is counted
     and excluded; the quorum continues on the surviving shards."""
     directory = str(tmp_path)
-    observer = ShardStateChannel(directory, 0, 2)
-    peer = ShardStateChannel(directory, 1, 2)
+    observer = ShardStateChannel(DocumentStore.for_directory(directory), 0, 2)
+    peer = ShardStateChannel(DocumentStore.for_directory(directory), 1, 2)
     checker = InvariantChecker()
     observer.publish(
         {ENDPOINT: {"desired": 0, "applied": 0, "pressure": 0.1,

@@ -25,6 +25,7 @@ import pytest
 
 from repro.chaos.actors import DiskFiller
 from repro.chaos.invariants import InvariantChecker
+from repro.cluster.documents import DocumentStore
 from repro.utils.diskbudget import DiskBudget
 
 pytestmark = [pytest.mark.chaos]
@@ -83,12 +84,16 @@ def test_spool_squeeze_drops_events_with_counters_then_recovers(tmp_path):
 def test_shard_exchange_skips_over_quota_publishes(tmp_path):
     from repro.serve.sharding import ShardMetricsExchange
 
-    peer = ShardMetricsExchange(str(tmp_path), 1, 2)
+    peer = ShardMetricsExchange(
+        DocumentStore.for_directory(str(tmp_path)), 1, 2
+    )
     peer.publish({"requests": 7})
     budget = DiskBudget(
         str(tmp_path), 1, name="exchange", rescan_interval_s=0.0
     )
-    exchange = ShardMetricsExchange(str(tmp_path), 0, 2, budget=budget)
+    exchange = ShardMetricsExchange(
+        DocumentStore.for_directory(str(tmp_path), budget=budget), 0, 2
+    )
 
     exchange.publish({"requests": 1})
     assert exchange.dropped_publishes == 1

@@ -183,8 +183,7 @@ def test_federated_metrics_exchange(agent):
     try:
         exchanges = [
             ShardMetricsExchange(
-                None, index, 2,
-                store=DocumentStore(transports[index], "exchange"),
+                DocumentStore(transports[index], "exchange"), index, 2
             )
             for index in range(2)
         ]
@@ -205,7 +204,7 @@ def test_federated_exchange_reaps_stale_remote_peer(agent):
     transport = _transport(agent, node="serve-0")
     try:
         store = DocumentStore(transport, "exchange")
-        exchange = ShardMetricsExchange(None, 0, 2, store=store)
+        exchange = ShardMetricsExchange(store, 0, 2)
         # A peer from another machine that stopped publishing: its pid is
         # unprobeable here, so staleness alone must reap it.
         store.put("shard-1.json", {
@@ -228,8 +227,7 @@ def test_federated_qos_quorum_max_desire(agent):
     try:
         channels = [
             ShardStateChannel(
-                None, index, 2,
-                store=DocumentStore(transports[index], "qos"),
+                DocumentStore(transports[index], "qos"), index, 2
             )
             for index in range(2)
         ]
@@ -247,9 +245,7 @@ def test_federated_qos_quorum_max_desire(agent):
 def test_federated_qos_coordinator_end_to_end(agent):
     transport = _transport(agent, node="serve-0")
     try:
-        channel = ShardStateChannel(
-            None, 0, 2, store=DocumentStore(transport, "qos")
-        )
+        channel = ShardStateChannel(DocumentStore(transport, "qos"), 0, 2)
         coordinator = QoSCoordinator(
             channel, min_publish_s=0.0, gather_cache_s=0.0
         )

@@ -1,11 +1,15 @@
 """``repro.cli serve`` wiring: every topology runs with the same settings."""
 
 import asyncio
+import multiprocessing
+import os
+import socket
 
 import pytest
 
 from repro.cli import main
 from repro.cluster import transport as cluster_transport
+from repro.eval import parallel
 from repro.serve import server as serve_server
 from repro.serve import sharding
 from repro.serve.registry import ModelSpec, ServeRegistry
@@ -89,7 +93,7 @@ def test_every_serve_topology_gets_the_same_settings(captured, tmp_path):
     sharded = captured.pop("sharded")
     assert sharded["shards"] == 3
     assert sharded["exchange_dir"] == telemetry
-    assert sharded["exchange_budget_bytes"] == 2 * 1024 * 1024
+    assert sharded["spool_budget_bytes"] == 2 * 1024 * 1024
     assert "telemetry_dir" not in sharded
     assert _common(sharded) == _common(single)
 
@@ -132,3 +136,118 @@ def test_federated_server_keeps_remote_spool_and_local_rings(
             asyncio.run(server.stop())
         bus.detach_spool()
     assert sink.closed
+
+
+class _InlineProcess:
+    """A shard "forked" inline: ``start`` runs the target in this process."""
+
+    def __init__(self, target, args, name=None):
+        self.target = target
+        self.args = args
+
+    def start(self):
+        self.target(*self.args)
+
+    def is_alive(self):
+        return False
+
+    def join(self, timeout=None):
+        pass
+
+    def terminate(self):
+        pass
+
+
+class _InlineContext:
+    Process = _InlineProcess
+
+
+@pytest.mark.skipif(
+    not (parallel.fork_available() and sharding.reuseport_supported()),
+    reason="sharding needs fork and SO_REUSEPORT",
+)
+def test_sharded_children_get_the_spool_budget(monkeypatch, tmp_path):
+    """``--shards`` children budget their telemetry spool and exchange
+    documents, in the exchange directory's usual layout."""
+    servers = []
+
+    class _FakeServer:
+        def __init__(self, registry=None, **kwargs):
+            servers.append(kwargs)
+
+        async def serve_forever(self):
+            pass
+
+    monkeypatch.setattr(serve_server, "NBSMTServer", _FakeServer)
+    monkeypatch.setattr(
+        multiprocessing, "get_context", lambda method: _InlineContext()
+    )
+    # The child-side process setup must not leak into the test process.
+    monkeypatch.setattr(os, "register_at_fork", lambda **kwargs: None)
+    monkeypatch.setattr(parallel, "IN_POOL_WORKER", parallel.IN_POOL_WORKER)
+    monkeypatch.setattr(
+        telemetry_bus.get_bus(), "reset_after_fork", lambda **kwargs: None
+    )
+    exchange_dir = str(tmp_path / "exchange")
+    assert main([
+        "serve", "resnet18", "--port", "0", "--spool-budget-mb", "2",
+        "--shards", "2", "--telemetry-dir", exchange_dir,
+    ]) == 0
+
+    budget = 2 * 1024 * 1024
+    assert [kwargs["shard_index"] for kwargs in servers] == [0, 1]
+    for index, kwargs in enumerate(servers):
+        assert kwargs["spool_budget_bytes"] == budget
+        assert kwargs["telemetry_dir"] == os.path.join(
+            exchange_dir, "telemetry"
+        )
+        exchange = kwargs["shard_exchange"]
+        assert exchange.store.budget.max_bytes == budget
+        exchange.publish({})
+        kwargs["coordinator"].channel.publish({})
+    assert sorted(os.listdir(exchange_dir)) == [
+        "qos-shard-0.json", "qos-shard-1.json",
+        "shard-0.json", "shard-1.json",
+    ]
+
+
+def test_server_reports_the_host_its_socket_is_bound_to(tiny_provider):
+    """A shard gets a bound socket, not a host: ``start`` must report the
+    address it really listens on (``server_started`` and the banner)."""
+    from repro.serve.pool import EnginePool
+
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        sock.bind(("127.0.0.2", 0))
+    except OSError:
+        sock.close()
+        pytest.skip("127.0.0.2 is not a loopback address here")
+    sock.listen(8)
+    sock.setblocking(False)
+    bound = sock.getsockname()
+    registry = ServeRegistry()
+    registry.register(ModelSpec(name="tinynet", model="resnet18"))
+    server = serve_server.NBSMTServer(
+        registry,
+        pool=EnginePool(registry, provider=tiny_provider, warm=False),
+        sock=sock,
+    )
+    bus = telemetry_bus.get_bus()
+    started = []
+
+    def callback(event):
+        if event.type == "server_started":
+            started.append(event)
+
+    bus.subscribe(callback=callback)
+
+    async def run():
+        await server.start()
+        await server.stop()
+
+    try:
+        asyncio.run(run())
+    finally:
+        bus.unsubscribe(callback)
+    assert (server.host, server.port) == bound
+    assert [(e.data["host"], e.data["port"]) for e in started] == [bound]

@@ -190,7 +190,7 @@ def deadline_server(tiny_harness, tiny_provider):
     )
     pool = EnginePool(registry, provider=tiny_provider, warm=False)
     server = NBSMTServer(registry, pool=pool, clock=TickClock(0.020))
-    server._build_endpoints()
+    server.build_endpoints()
     yield server
     for batcher in server.batchers.values():
         batcher.close(drain=False)
@@ -280,7 +280,7 @@ def test_default_deadline_comes_from_the_spec(tiny_harness, tiny_provider):
     )
     pool = EnginePool(registry, provider=tiny_provider, warm=False)
     server = NBSMTServer(registry, pool=pool, clock=TickClock(0.020))
-    server._build_endpoints()
+    server.build_endpoints()
     try:
         body = json.dumps(
             {"inputs": tiny_harness.eval_images[:1].tolist()}

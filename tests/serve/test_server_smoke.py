@@ -39,7 +39,7 @@ def smoke_server(tiny_harness, tiny_provider):
     )
     pool = EnginePool(registry, provider=tiny_provider, warm=False)
     server = NBSMTServer(registry, pool=pool)
-    server._build_endpoints()
+    server.build_endpoints()
     yield server
     for batcher in server.batchers.values():
         batcher.close(drain=False)

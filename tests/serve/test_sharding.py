@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster.documents import METRICS_STALE_AFTER_S
+from repro.cluster.documents import METRICS_STALE_AFTER_S, DocumentStore
 from repro.eval.parallel import fork_available
 from repro.serve import sharding
 
@@ -33,7 +33,9 @@ def test_create_shard_sockets_share_one_port():
 
 def test_metrics_exchange_publish_and_gather(tmp_path):
     exchanges = [
-        sharding.ShardMetricsExchange(str(tmp_path), index, 3)
+        sharding.ShardMetricsExchange(
+            DocumentStore.for_directory(str(tmp_path)), index, 3
+        )
         for index in range(3)
     ]
     for index, exchange in enumerate(exchanges):
@@ -52,7 +54,9 @@ def test_metrics_exchange_publish_and_gather(tmp_path):
 
 def test_stale_spool_of_dead_shard_is_reaped(tmp_path):
     """A crashed shard's counters must not be merged (or kept) forever."""
-    reader = sharding.ShardMetricsExchange(str(tmp_path), 0, 3)
+    reader = sharding.ShardMetricsExchange(
+        DocumentStore.for_directory(str(tmp_path)), 0, 3
+    )
     # Shard 1 "crashed": stale timestamp, dead pid.
     with open(tmp_path / "shard-1.json", "w", encoding="utf-8") as handle:
         json.dump(
@@ -78,7 +82,9 @@ def test_stale_spool_of_dead_shard_is_reaped(tmp_path):
     assert not (tmp_path / "shard-1.json").exists()
     assert (tmp_path / "shard-2.json").exists()
     # Fresh documents (just published, live pid) merge as before.
-    writer = sharding.ShardMetricsExchange(str(tmp_path), 1, 3)
+    writer = sharding.ShardMetricsExchange(
+        DocumentStore.for_directory(str(tmp_path)), 1, 3
+    )
     writer.publish({"endpoints": {"m": {"requests": 7}}})
     payloads, sources = reader.gather_peers()
     assert len(payloads) == 2

@@ -41,7 +41,7 @@ def telemetry_server(tiny_provider):
     registry.register(make_spec())
     pool = EnginePool(registry, provider=tiny_provider, warm=False)
     server = NBSMTServer(registry, pool=pool)
-    server._build_endpoints()
+    server.build_endpoints()
     yield server
     for batcher in server.batchers.values():
         batcher.close(drain=False)
@@ -232,7 +232,7 @@ def test_alert_engine_wired_into_server_and_history_restart(
     tiny_provider, tmp_path
 ):
     """The default server carries an alert engine fed by its relay; with a
-    ``history_dir`` the lifecycle survives a server restart."""
+    ``telemetry_dir`` the lifecycle survives a server restart."""
     from repro.telemetry.alerts import AlertRule
 
     rule = AlertRule(
@@ -245,10 +245,10 @@ def test_alert_engine_wired_into_server_and_history_restart(
         registry.register(make_spec())
         pool = EnginePool(registry, provider=tiny_provider, warm=False)
         server = NBSMTServer(
-            registry, pool=pool, history_dir=str(tmp_path),
+            registry, pool=pool, telemetry_dir=str(tmp_path),
             alert_rules=[rule],
         )
-        server._build_endpoints()
+        server.build_endpoints()
         return server, pool
 
     def teardown(server, pool):
@@ -258,6 +258,7 @@ def test_alert_engine_wired_into_server_and_history_restart(
         server.relay.close()
         telemetry_bus.get_bus().unsubscribe(server._history_callback)
         server.history.close()
+        telemetry_bus.get_bus().detach_spool()
 
     server, pool = build()
     try:

@@ -57,7 +57,7 @@ def _running_server(tiny_provider, tmp_path, *, fork_workers=0, **kwargs):
     )
     server = NBSMTServer(
         registry, pool=pool, port=0,
-        trace_dir=str(tmp_path / "traces"), **kwargs,
+        telemetry_dir=str(tmp_path), **kwargs,
     )
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)

@@ -13,8 +13,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cluster.documents import DocumentStore
 from repro.eval.throttle import OperatingLadder, OperatingPoint
 from repro.serve.qos import EndpointGovernor, QoSConfig, QoSController
+from repro.telemetry import coordinator as coordinator_module
 from repro.telemetry.coordinator import (
     QoSCoordinator,
     ShardStateChannel,
@@ -24,7 +26,9 @@ from repro.telemetry.coordinator import (
 
 def make_coordinator(tmp_path, index, count=2, stale_after_s=5.0):
     return QoSCoordinator(
-        ShardStateChannel(str(tmp_path), index, count),
+        ShardStateChannel(
+            DocumentStore.for_directory(str(tmp_path)), index, count
+        ),
         stale_after_s=stale_after_s,
     )
 
@@ -35,8 +39,8 @@ def make_coordinator(tmp_path, index, count=2, stale_after_s=5.0):
 
 
 def test_channel_publish_and_gather(tmp_path):
-    a = ShardStateChannel(str(tmp_path), 0, 2)
-    b = ShardStateChannel(str(tmp_path), 1, 2)
+    a = ShardStateChannel(DocumentStore.for_directory(str(tmp_path)), 0, 2)
+    b = ShardStateChannel(DocumentStore.for_directory(str(tmp_path)), 1, 2)
     a.publish({"m": {"desired": 2, "applied": 0, "held": False}})
     b.publish({"m": {"desired": 0, "applied": 0, "held": False}})
     states = a.gather()
@@ -45,7 +49,7 @@ def test_channel_publish_and_gather(tmp_path):
 
 
 def test_gather_excludes_stale_and_dead_documents(tmp_path):
-    live = ShardStateChannel(str(tmp_path), 0, 3)
+    live = ShardStateChannel(DocumentStore.for_directory(str(tmp_path)), 0, 3)
     live.publish({"m": {"desired": 1}})
     # Shard 1: stale timestamp AND a dead pid -> excluded.
     with open(tmp_path / "qos-shard-1.json", "w", encoding="utf-8") as handle:
@@ -306,10 +310,65 @@ def test_solo_governor_without_peer_state_acts_locally(tmp_path):
     clock = FakeClock()
     governor, pool, _ = make_governor(tmp_path, 0, clock, 0.95, count=1)
     # Sabotage the channel so even our own publish never lands.
-    governor.coordinator.channel.directory = str(tmp_path / "missing")
     governor.coordinator.channel.publish = lambda endpoints: None
     governor.tick()
     clock.advance(0.6)
     transition = governor.tick()
     assert transition is not None and transition.to_level == 1
     assert pool.level == 1
+
+
+class _SteppedTime:
+    """A ``time`` module stand-in whose wall clock a test can step back."""
+
+    def __init__(self):
+        self.wall = 1_000_000.0
+        self.mono = 50.0
+
+    def time(self):
+        return self.wall
+
+    def monotonic(self):
+        return self.mono
+
+
+class _CountingChannel:
+    shard_index = 0
+    shard_count = 1
+
+    def __init__(self):
+        self.publishes = 0
+        self.gathers = 0
+
+    def publish(self, endpoints):
+        self.publishes += 1
+
+    def gather(self, stale_after_s):
+        self.gathers += 1
+        return {}
+
+
+def test_throttles_survive_a_wall_clock_stepped_back(monkeypatch):
+    """``min_publish_s``/``gather_cache_s`` run on the monotonic clock: a
+    wall clock stepped back must not stop an unchanged shard republishing
+    (it would drop out of its peers' quorum) or pin a stale gather."""
+    clock = _SteppedTime()
+    monkeypatch.setattr(coordinator_module, "time", clock)
+    channel = _CountingChannel()
+    coordinator = QoSCoordinator(
+        channel, min_publish_s=1.0, gather_cache_s=0.1
+    )
+    coordinator.update("m", desired=1, applied=0)
+
+    def tick():
+        coordinator.flush()
+        coordinator.recommendation("m", 3)
+        return channel.publishes, channel.gathers
+
+    assert tick() == (1, 1)
+    clock.mono += 0.05  # inside both intervals: throttled
+    assert tick() == (1, 1)
+    # The wall clock steps back an hour while two seconds really pass.
+    clock.wall -= 3600.0
+    clock.mono += 2.0
+    assert tick() == (2, 2)

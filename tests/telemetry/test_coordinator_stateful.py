@@ -24,6 +24,7 @@ import tempfile
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
+from repro.cluster.documents import DocumentStore
 from repro.telemetry.coordinator import ShardStateChannel, recommend_level
 from tests.strategies import STATE_MACHINE_SETTINGS
 
@@ -40,7 +41,9 @@ class CoordinatorMachine(RuleBasedStateMachine):
     def setup(self):
         self.directory = tempfile.mkdtemp(prefix="repro-coord-machine-")
         self.channels = [
-            ShardStateChannel(self.directory, index, SHARD_COUNT)
+            ShardStateChannel(
+                DocumentStore.for_directory(self.directory), index, SHARD_COUNT
+            )
             for index in range(SHARD_COUNT)
         ]
         self.model: dict[int, dict] = {}  # index -> {"desired", "held"}
