@@ -153,8 +153,9 @@ def wgt_reduction_delta(w: np.ndarray, policy: PackingPolicy) -> np.ndarray:
     """``w_effective - w`` for a colliding weight, ignoring the swap path."""
     w = np.asarray(w)
     if w.dtype.kind in "iu":
+        # Widened first: ``+ 128`` overflows an int8 operand.
         return _DELTA_LUTS[("wgt", policy.width_primary)].take(
-            np.clip(w, -128, 127) + 128
+            np.clip(w, -128, 127).astype(np.intp) + 128
         )
     w = w.astype(np.int64)
     delta = reduce_wgt_to_4bit_msb(w) - w

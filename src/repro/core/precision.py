@@ -75,7 +75,8 @@ def reduce_wgt_to_4bit_msb(w: np.ndarray | int) -> np.ndarray:
     """Reduce signed weights to the value their rounded 4-bit MSBs encode."""
     w = np.asarray(w)
     if w.dtype.kind in "iu":
-        return _WGT_REDUCE_LUT.take(np.clip(w, -128, 127) + 128)
+        # Widened first: ``+ 128`` overflows an int8 operand.
+        return _WGT_REDUCE_LUT.take(np.clip(w, -128, 127).astype(np.intp) + 128)
     reduced = _round_to_multiple_of_16(w)
     return np.clip(reduced, WGT_REDUCED_MIN, WGT_REDUCED_MAX)
 

@@ -41,6 +41,7 @@ import numpy as np
 from repro.core import packing
 from repro.core.policies import PackingPolicy, get_policy
 from repro.core.precision import act_fits_4bit, wgt_fits_4bit
+from repro.quant.engine import exact_int_matmul
 
 #: Largest product-sum magnitude exactly representable by a float32 GEMM.
 _F32_EXACT_LIMIT = 1 << 24
@@ -247,11 +248,6 @@ def _int_gemm(left: np.ndarray, right: np.ndarray, bound: float) -> np.ndarray:
     return np.rint(left.astype(dtype) @ right.astype(dtype)).astype(np.int64)
 
 
-def _exact_matmul(x_q: np.ndarray, w_q: np.ndarray) -> np.ndarray:
-    """Exact product of 8-bit-ranged integer matrices (float64 path)."""
-    return np.rint(x_q.astype(np.float64) @ w_q.astype(np.float64)).astype(np.int64)
-
-
 def _exactness_groups(bounds: list[float]) -> list[tuple[list[int], type]]:
     """Partition GEMM terms into exactly evaluable groups.
 
@@ -403,25 +399,28 @@ class NBSMTMatmul:
             w_q = w_q[permutation, :]
 
         if self.threads == 1:
-            out = _exact_matmul(x_q, w_q)
+            out = exact_int_matmul(x_q, w_q)
             if self.collect_stats:
                 self._record_single_thread(x_q, w_q)
             return out
 
-        x_t, w_t = split_into_threads(x_q, w_q, self.threads)
-        if self.force_reference:
-            out, stats = _reference_multi_t(
-                x_t, w_t, self.policy, self.collect_stats, self.chunk_rows
-            )
-        elif self.threads == 2:
-            out, stats = _fast_2t(x_t, w_t, self.policy, self.collect_stats)
-        elif self.fast4t_impl == "legacy":
-            out, stats = _fast_4t_legacy(x_t, w_t, self.policy, self.collect_stats)
+        if self.threads == 2 and not self.force_reference:
+            out, stats = _fast_2t(x_q, w_q, self.policy, self.collect_stats)
         else:
-            out, stats = _fast_4t(
-                x_t, w_t, self.policy, self.collect_stats,
-                prune_blocks=self.prune_blocks,
-            )
+            x_t, w_t = split_into_threads(x_q, w_q, self.threads)
+            if self.force_reference:
+                out, stats = _reference_multi_t(
+                    x_t, w_t, self.policy, self.collect_stats, self.chunk_rows
+                )
+            elif self.fast4t_impl == "legacy":
+                out, stats = _fast_4t_legacy(
+                    x_t, w_t, self.policy, self.collect_stats
+                )
+            else:
+                out, stats = _fast_4t(
+                    x_t, w_t, self.policy, self.collect_stats,
+                    prune_blocks=self.prune_blocks,
+                )
         if self.collect_stats and stats is not None:
             self.stats.merge(stats)
         return out
@@ -460,13 +459,16 @@ def _operand_maxima(x_t: np.ndarray, w_t: np.ndarray) -> tuple[int, int]:
 
 
 def _narrowed(a: np.ndarray, max_abs: int) -> np.ndarray:
-    """An int16 copy when the values fit (8-bit operands always do).
+    """The operand in at most two bytes per value.
 
-    The gated-GEMM assembly is memory bound, so 2-byte reads beat the 8-byte
-    int64 defaults; values outside the int16 range (only possible for
-    callers violating the 8-bit operand contract) are left untouched.
+    The gated-GEMM assembly is memory bound, so narrow reads pay: 1- and
+    2-byte operands (the quantized model's uint8 activations) are kept,
+    wider ones become an int16 copy when their values fit (values outside
+    the int16 range break the 8-bit contract and are left untouched).
+    Consumers widen before arithmetic that could wrap: float GEMM operands,
+    intp look-up indices.
     """
-    if a.dtype == np.int16 or max_abs > 32767:
+    if a.dtype.itemsize <= 2 or max_abs > 32767:
         return a
     return a.astype(np.int16)
 
@@ -476,25 +478,22 @@ def _narrowed(a: np.ndarray, max_abs: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _fast_2t(
-    x_t: np.ndarray,
-    w_t: np.ndarray,
+    x_q: np.ndarray,
+    w_q: np.ndarray,
     policy: PackingPolicy,
     collect_stats: bool,
 ) -> tuple[np.ndarray, SMTStatistics | None]:
     """Factorized 2-thread execution: exact matmul plus masked-delta matmuls."""
-    amax, wmax = _operand_maxima(x_t, w_t)
-    x16 = _narrowed(x_t, amax)
-    w16 = _narrowed(w_t, wmax)
-    x1, x2 = x16[0], x16[1]
-    w1, w2 = w16[0], w16[1]
+    amax, wmax = _operand_maxima(x_q, w_q)
+    x_t, w_t = split_into_threads(
+        _narrowed(x_q, amax), _narrowed(w_q, wmax), 2
+    )
+    x1, x2 = x_t[0], x_t[1]
+    w1, w2 = w_t[0], w_t[1]
     m, kt = x1.shape
     n = w1.shape[1]
 
-    exact = _int_gemm(
-        np.concatenate([x1, x2], axis=1),
-        np.concatenate([w1, w2], axis=0),
-        bound=2.0 * kt * amax * wmax,
-    )
+    exact = _int_gemm(x_q, w_q, bound=2.0 * kt * amax * wmax)
 
     act_nonzero_1, act_nonzero_2 = x1 != 0, x2 != 0
     wgt_nonzero_1, wgt_nonzero_2 = w1 != 0, w2 != 0
@@ -884,7 +883,7 @@ def _fast_4t(
     left_idx <<= 4
     left_idx |= alpha
     beta = _activity_pattern(w_t)
-    right_idx = ((w_t + 128) << 4).astype(np.intp) | beta
+    right_idx = ((w_t.astype(np.intp) + 128) << 4) | beta
 
     # Which weight patterns occur in each K row.
     present = np.zeros((kt, 16), dtype=bool)
@@ -1163,7 +1162,7 @@ def _fast_4t_legacy(
     xs = [x_t[t].astype(np.int64) for t in range(threads)]
     ws = [w_t[t].astype(np.int64) for t in range(threads)]
 
-    exact = _exact_matmul(
+    exact = exact_int_matmul(
         np.concatenate(xs, axis=1), np.concatenate(ws, axis=0)
     )
 

@@ -11,20 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 
+#: Output bytes lowered per block of images: small enough to stay in a
+#: core's L2 cache while all kernel taps of the block are written.
+_IM2COL_BLOCK_BYTES = 1 << 20
+
+
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution/pooling along one dimension."""
     return (size + 2 * padding - kernel) // stride + 1
-
-
-def pad_nchw(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad the two spatial dimensions of an NCHW tensor."""
-    if padding == 0:
-        return x
-    return np.pad(
-        x,
-        ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-        mode="constant",
-    )
 
 
 def im2col(
@@ -35,47 +29,50 @@ def im2col(
     Parameters
     ----------
     x:
-        Input of shape ``(N, C, H, W)``.
+        Input of shape ``(N, C, H, W)``, of any dtype (the quantized layers
+        lower uint8 maps, the float layers float32 ones).
     kernel, stride, padding:
         Square-kernel convolution geometry.
 
     Returns
     -------
     cols:
-        Matrix of shape ``(N * OH * OW, C * kernel * kernel)``.  Row ``r``
-        holds the flattened receptive field of output position ``r``.
+        C-contiguous matrix of shape ``(N * OH * OW, C * kernel * kernel)``
+        and the dtype of ``x``.  Row ``r`` holds the flattened receptive
+        field of output position ``r``, in ``(C, KH, KW)`` order.
     (OH, OW):
         The spatial output size.
     """
     batch, channels, height, width = x.shape
     out_h = conv_output_size(height, kernel, stride, padding)
     out_w = conv_output_size(width, kernel, stride, padding)
-    x_padded = pad_nchw(x, padding)
-
-    strides = x_padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x_padded,
-        shape=(batch, channels, out_h, out_w, kernel, kernel),
-        strides=(
-            strides[0],
-            strides[1],
-            strides[2] * stride,
-            strides[3] * stride,
-            strides[2],
-            strides[3],
-        ),
-        writeable=False,
-    )
-    # (N, OH, OW, C, KH, KW) -> (N*OH*OW, C*KH*KW).  Reshaping the
-    # transposed window view usually materializes a fresh C-contiguous
-    # matrix, but singleton axes can merge lazily (e.g. batch=1 with a 1x1
-    # kernel yields a strided view), so the contiguous layout the
-    # BLAS-backed engines want is enforced explicitly; ascontiguousarray is
-    # a no-op in the common already-copied case.
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        batch * out_h * out_w, channels * kernel * kernel
-    )
-    return np.ascontiguousarray(cols), (out_h, out_w)
+    # An NHWC layout puts the channels of every pixel side by side, so each
+    # kernel tap below is a single strided block copy.  Only padding needs
+    # the layout materialized; otherwise the taps read the transposed view.
+    padded = x.transpose(0, 2, 3, 1)
+    if padding:
+        padded = np.zeros(
+            (batch, height + 2 * padding, width + 2 * padding, channels),
+            dtype=x.dtype,
+        )
+        padded[:, padding : padding + height, padding : padding + width] = (
+            x.transpose(0, 2, 3, 1)
+        )
+    cols = np.empty((batch, out_h, out_w, channels, kernel, kernel), dtype=x.dtype)
+    # Each tap writes every (KH*KW)-th value, so the taps of a block of
+    # images run back to back while the block's output is still in cache.
+    step = max(1, _IM2COL_BLOCK_BYTES // max(1, cols[:1].nbytes))
+    for start in range(0, batch, step):
+        images = slice(start, start + step)
+        for kh in range(kernel):
+            for kw in range(kernel):
+                cols[images, ..., kh, kw] = padded[
+                    images,
+                    kh : kh + stride * out_h : stride,
+                    kw : kw + stride * out_w : stride,
+                ]
+    rows = batch * out_h * out_w
+    return cols.reshape(rows, channels * kernel * kernel), (out_h, out_w)
 
 
 def col2im(

@@ -4,6 +4,9 @@ The convolution is the layer the paper's accelerator executes: activations
 and weights are lowered to ``(M, K)`` and ``(K, N)`` matrices and multiplied.
 The ``matmul_fn`` hook is the injection point used by :mod:`repro.quant` to
 replace the exact floating-point product with a quantized NB-SMT execution.
+A hook may carry a ``prepare_input(x)`` attribute: the layer then lowers
+``prepare_input(x)`` instead of ``x`` (the quantized executor quantizes the
+feature map to uint8 once, before im2col multiplies its size by KH*KW).
 """
 
 from __future__ import annotations
@@ -73,7 +76,8 @@ class Conv2d(Module):
         self.bias = Parameter(np.zeros(out_channels, dtype=np.float32)) if bias else None
 
         #: hook replaced by the quantized executor; receives the im2col matrix
-        #: (M, K) and the reshaped weights (K, N) and returns (M, N).
+        #: (M, K) and the reshaped weights (K, N) and returns (M, N).  Its
+        #: optional ``prepare_input`` maps the NCHW input before lowering.
         self.matmul_fn: MatmulFn = _default_matmul
 
         self._cache: dict[str, object] = {}
@@ -103,6 +107,9 @@ class Conv2d(Module):
             raise ValueError(
                 f"expected {self.in_channels} input channels, got {channels}"
             )
+        prepare_input = getattr(self.matmul_fn, "prepare_input", None)
+        if prepare_input is not None:
+            x = prepare_input(x)
         if self.groups == 1:
             cols, (out_h, out_w) = F.im2col(
                 x, self.kernel_size, self.stride, self.padding

@@ -22,7 +22,7 @@ from repro.nn.layers.conv import Conv2d
 from repro.nn.layers.linear import Linear
 from repro.nn.layers.norm import BatchNorm2d
 from repro.nn.module import Module
-from repro.quant.quantizer import activation_scale
+from repro.quant.quantizer import activation_scale, quantize_activations
 
 #: Quantized activation values below this threshold fit in the 4-bit LSBs.
 FOUR_BIT_LIMIT = 16
@@ -184,8 +184,7 @@ def _calibrate_float_model(
 
     def make_column_observer(name: str, original):
         def observer(cols: np.ndarray, weight_2d: np.ndarray) -> np.ndarray:
-            scale = result.act_scales[name]
-            q = np.clip(np.rint(cols / scale), 0, 255)
+            q = quantize_activations(cols, result.act_scales[name]).values
             wide = (q >= FOUR_BIT_LIMIT).sum(axis=0)
             nonzero = (q > 0).sum(axis=0)
             if name not in wide_sums:

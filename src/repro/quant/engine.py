@@ -63,14 +63,21 @@ class IntMatmulEngine(Protocol):
     ) -> np.ndarray:
         """Return integer accumulators of shape ``(M, N)``.
 
-        ``x_q`` holds unsigned 8-bit activation values, ``w_q`` signed 8-bit
-        weight values (both stored in wider integer dtypes).
+        ``x_q`` holds unsigned 8-bit activation values and ``w_q`` signed
+        8-bit weight values in ``[-127, 127]``.
+        :class:`~repro.quant.qmodel.QuantizedModel` passes uint8 activations
+        and int32 weights, but engines must accept any integer dtypes and
+        widen before arithmetic that could wrap (``uint8 @ int8``
+        accumulates in int16).
         """
         ...  # pragma: no cover - protocol signature only
 
 
 def exact_int_matmul(x_q: np.ndarray, w_q: np.ndarray) -> np.ndarray:
-    """Exact integer matmul computed in float64 (lossless for 8-bit operands)."""
+    """Exact integer matmul computed in float64 (lossless for 8-bit operands).
+
+    Both operands are widened to float64 first, so any integer dtypes work.
+    """
     return np.rint(x_q.astype(np.float64) @ w_q.astype(np.float64)).astype(np.int64)
 
 

@@ -140,9 +140,15 @@ class QuantizedModel:
                 float(row_probe @ weight_2d @ col_probe),
             )
 
+        def prepare_input(x: np.ndarray) -> np.ndarray:
+            return quantize_activations(x, act_scale, bits=config.act_bits).values
+
         def hook(cols: np.ndarray, weight_2d: np.ndarray) -> np.ndarray:
             engine = layer.engine or self.default_engine
-            x_q = quantize_activations(cols, act_scale, bits=config.act_bits)
+            # Conv2d lowers prepare_input(x), so its columns arrive already
+            # quantized; float columns come from linear layers and from
+            # foreign wrappers that call this hook themselves.
+            x_q = cols if cols.dtype == np.uint8 else prepare_input(cols)
             # Weights do not change during evaluation, so their per-channel
             # quantization is cached; the fingerprint refreshes it when they
             # are mutated in place (e.g. by pruning).
@@ -153,9 +159,10 @@ class QuantizedModel:
                     weight_2d, bits=config.wgt_bits
                 )
             w_q = weight_cache["quant"]
-            accumulators = engine.matmul(x_q.values, w_q.values, layer.context)
+            accumulators = engine.matmul(x_q, w_q.values, layer.context)
             return dequantize(accumulators, act_scale, w_q.scales)
 
+        hook.prepare_input = prepare_input
         return hook
 
     def _install(self) -> None:

@@ -40,7 +40,7 @@ class QuantizedTensor:
 class WeightQuantization:
     """Per-output-channel quantized weights for one layer."""
 
-    values: np.ndarray          # int8-valued array, shape (K, N)
+    values: np.ndarray          # int32 storage of values in [-127, 127], shape (K, N)
     scales: np.ndarray          # shape (N,)
 
     def dequantize(self) -> np.ndarray:
@@ -58,14 +58,18 @@ def activation_scale(max_value: float, bits: int = 8) -> float:
 def quantize_activations(
     x: np.ndarray, scale: float, bits: int = 8
 ) -> QuantizedTensor:
-    """Quantize activations to unsigned ``bits``-bit integers.
+    """Quantize activations to unsigned ``bits``-bit integers (``bits <= 8``).
 
-    Negative inputs are clipped to zero; the NB-SMT layers only ever see
-    post-ReLU activations, so this clipping is a no-op in practice.
+    The values are stored as uint8.  Negative inputs are clipped to zero;
+    the NB-SMT layers only ever see post-ReLU activations, so this clipping
+    is a no-op in practice.  Zero maps to zero, so quantizing a feature map
+    and then lowering it (zero padding included) equals lowering and then
+    quantizing.
     """
-    qmax = 2**bits - 1
-    q = np.clip(np.rint(x / scale), 0, qmax)
-    return QuantizedTensor(q.astype(np.int32), scale)
+    if bits > 8:
+        raise ValueError(f"activations are stored as uint8; got bits={bits}")
+    q = np.clip(np.rint(x / scale), 0, 2**bits - 1)
+    return QuantizedTensor(q.astype(np.uint8), scale)
 
 
 def quantize_weights_per_channel(

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.policies import POLICY_NAMES, get_policy
 from repro.core.smt import NBSMTMatmul, SMTStatistics, split_into_threads
+from repro.quant.engine import LayerContext
+from repro.quant.robustness import ReducedPrecisionEngine
 from tests.conftest import make_quantized_pair
 from repro.utils.rng import new_rng
 
@@ -362,3 +364,28 @@ def test_4t_operands_outside_8_bits_take_the_reference_semantics():
     x = np.array([[300, 5, 0, 17]])
     w = np.array([[3], [100], [-5], [7]])
     _assert_4t_matches_reference(x, w, "S+A")
+
+
+# -- operand storage dtypes ----------------------------------------------------
+
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_8bit_operand_storage_matches_int64(rng, policy):
+    """uint8 activations with int8 weights give the int64 results.
+
+    The ``w + 128`` table offset must be added after widening: in int8 it
+    overflows (the 4-thread kernel, and the weight reductions of the
+    A8W4/A4W4 engines).
+    """
+    x, w = make_quantized_pair(rng, m=24, k=40, n=12)
+    x8, w8 = x.astype(np.uint8), w.astype(np.int8)
+    for threads in (2, 4):
+        wide = NBSMTMatmul(threads, policy)
+        narrow = NBSMTMatmul(threads, policy)
+        assert np.array_equal(narrow.matmul(x8, w8), wide.matmul(x, w))
+        assert narrow.stats.as_dict() == wide.stats.as_dict()
+    for point in ("A8W4", "A4W4"):
+        engine = ReducedPrecisionEngine.from_point(point)
+        assert np.array_equal(
+            engine.matmul(x8, w8, LayerContext("layer")),
+            engine.matmul(x, w, LayerContext("layer")),
+        )

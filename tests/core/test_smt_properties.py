@@ -40,6 +40,15 @@ _STATS_FIELDS = [
 ]
 
 
+#: Operand storage dtypes ``(activations, weights)``: int64, int32, what
+#: the quantized model feeds (uint8 activations, int32 weights), and the
+#: narrowest storage of the 8-bit contract (uint8 with int8 weights).
+_OPERAND_DTYPES = [
+    (np.int64, np.int64), (np.int32, np.int32),
+    (np.uint8, np.int32), (np.uint8, np.int8),
+]
+
+
 @st.composite
 def nbsmt_case(draw, max_m: int = 24, max_k: int = 40, max_n: int = 12):
     """A random quantized operand pair plus execution configuration."""
@@ -54,6 +63,7 @@ def nbsmt_case(draw, max_m: int = 24, max_k: int = 40, max_n: int = 12):
     special_fraction = draw(st.sampled_from([0.0, 0.3, 1.0]))
     threads = draw(st.sampled_from([2, 4]))
     policy = draw(st.sampled_from(POLICY_NAMES))
+    x_dtype, w_dtype = draw(st.sampled_from(_OPERAND_DTYPES))
 
     rng = np.random.default_rng(seed)
     x = rng.integers(0, 256, size=(m, k), dtype=np.int64)
@@ -65,7 +75,7 @@ def nbsmt_case(draw, max_m: int = 24, max_k: int = 40, max_n: int = 12):
         w = np.where(rng.random((k, n)) < special_fraction, w_special, w)
     x[rng.random((m, k)) < act_sparsity] = 0
     w[rng.random((k, n)) < wgt_sparsity] = 0
-    return x, w, threads, policy
+    return x.astype(x_dtype), w.astype(w_dtype), threads, policy
 
 
 def _assert_stats_equal(actual: SMTStatistics, expected: SMTStatistics, label: str):
