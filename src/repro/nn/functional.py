@@ -11,11 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 
-#: Output bytes lowered per block of images: small enough to stay in a
-#: core's L2 cache while all kernel taps of the block are written.
-_IM2COL_BLOCK_BYTES = 1 << 20
-
-
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     """Spatial output size of a convolution/pooling along one dimension."""
     return (size + 2 * padding - kernel) // stride + 1
@@ -59,18 +54,13 @@ def im2col(
             x.transpose(0, 2, 3, 1)
         )
     cols = np.empty((batch, out_h, out_w, channels, kernel, kernel), dtype=x.dtype)
-    # Each tap writes every (KH*KW)-th value, so the taps of a block of
-    # images run back to back while the block's output is still in cache.
-    step = max(1, _IM2COL_BLOCK_BYTES // max(1, cols[:1].nbytes))
-    for start in range(0, batch, step):
-        images = slice(start, start + step)
-        for kh in range(kernel):
-            for kw in range(kernel):
-                cols[images, ..., kh, kw] = padded[
-                    images,
-                    kh : kh + stride * out_h : stride,
-                    kw : kw + stride * out_w : stride,
-                ]
+    for kh in range(kernel):
+        for kw in range(kernel):
+            cols[..., kh, kw] = padded[
+                :,
+                kh : kh + stride * out_h : stride,
+                kw : kw + stride * out_w : stride,
+            ]
     rows = batch * out_h * out_w
     return cols.reshape(rows, channels * kernel * kernel), (out_h, out_w)
 

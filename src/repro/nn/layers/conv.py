@@ -4,9 +4,10 @@ The convolution is the layer the paper's accelerator executes: activations
 and weights are lowered to ``(M, K)`` and ``(K, N)`` matrices and multiplied.
 The ``matmul_fn`` hook is the injection point used by :mod:`repro.quant` to
 replace the exact floating-point product with a quantized NB-SMT execution.
-A hook may carry a ``prepare_input(x)`` attribute: the layer then lowers
-``prepare_input(x)`` instead of ``x`` (the quantized executor quantizes the
-feature map to uint8 once, before im2col multiplies its size by KH*KW).
+A hook may carry a ``prepare_input(x)`` attribute: in eval mode the layer
+then lowers ``prepare_input(x)`` instead of ``x`` (the quantized executor
+quantizes the feature map to uint8 once, before im2col multiplies its size
+by KH*KW).
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class Conv2d(Module):
 
         #: hook replaced by the quantized executor; receives the im2col matrix
         #: (M, K) and the reshaped weights (K, N) and returns (M, N).  Its
-        #: optional ``prepare_input`` maps the NCHW input before lowering.
+        #: optional ``prepare_input`` maps the NCHW input before lowering, in
+        #: eval mode only.
         self.matmul_fn: MatmulFn = _default_matmul
 
         self._cache: dict[str, object] = {}
@@ -107,8 +109,10 @@ class Conv2d(Module):
             raise ValueError(
                 f"expected {self.in_channels} input channels, got {channels}"
             )
+        # Only in eval mode: backward computes the weight gradient from the
+        # cached columns, which must stay float in training.
         prepare_input = getattr(self.matmul_fn, "prepare_input", None)
-        if prepare_input is not None:
+        if prepare_input is not None and not self.training:
             x = prepare_input(x)
         if self.groups == 1:
             cols, (out_h, out_w) = F.im2col(

@@ -174,3 +174,31 @@ def test_mac_counts_and_calibration_unchanged_by_installed_qmodel(images):
         np.testing.assert_array_equal(
             installed.column_stats[name].p_nonzero, stats.p_nonzero
         )
+
+
+def test_training_through_installed_qmodel_keeps_float_weight_gradients(images):
+    """In train mode the layers lower float maps, so backward's cached
+    columns (and the weight gradients built from them) stay float.
+
+    The reference hands the hooks float columns through a wrapper without
+    ``prepare_input``: the hook quantizes them itself and the layer caches
+    the float matrix.
+    """
+    model = _quantizable_model()
+    qmodel = QuantizedModel(model, calibrate_model(model, images))
+    model.train()
+    grads = []
+    for wrap in (False, True):
+        if wrap:
+            for layer in qmodel.layers.values():
+                hook = layer.hook
+                layer.module.matmul_fn = lambda c, w, hook=hook: hook(c, w)
+        model.zero_grad()
+        out = model(images)
+        model.backward(np.ones_like(out))
+        grads.append({name: p.grad.copy() for name, p in model.named_parameters()})
+    for layer in qmodel.layers.values():
+        layer.module.matmul_fn = layer.hook
+    assert grads[0].keys() == grads[1].keys()
+    for name, grad in grads[1].items():
+        np.testing.assert_array_equal(grads[0][name], grad, err_msg=name)
