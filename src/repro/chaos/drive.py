@@ -44,7 +44,6 @@ class ServingStack:
         fork_workers: int = 0,
         threads: int = 2,
         max_batch: int = 8,
-        max_wait_ms: float = 2.0,
         max_pending: int = 64,
         provider=None,
         warm: bool = True,
@@ -60,7 +59,6 @@ class ServingStack:
             models=[model],
             threads=threads,
             max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
             max_pending=max_pending,
         )
         self.spec = self.registry.get(model)

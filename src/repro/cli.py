@@ -254,7 +254,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     overrides = {
         "threads": args.threads,
         "max_batch": args.max_batch,
-        "max_wait_ms": args.max_wait_ms,
         "max_pending": args.max_pending,
         "collect_stats": not args.no_stats,
         "ladder_rungs": args.ladder_rungs,
@@ -697,12 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--max-batch", type=int, default=32, help="images per engine call"
-    )
-    serve_parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=5.0,
-        help="batching latency budget for the oldest queued request",
     )
     serve_parser.add_argument(
         "--max-pending",

@@ -2,18 +2,18 @@
 
 The NB-SMT engines (like the hardware they model) amortize per-invocation
 cost over the batch dimension, so serving one image per engine call wastes
-most of the machine.  :class:`DynamicBatcher` sits between the request
-front-end and a warm engine replica: requests are queued, and a worker
-thread assembles them into batches bounded by two knobs:
+most of the machine when requests pile up.  :class:`DynamicBatcher` sits
+between the request front-end and warm engine replicas: requests are
+queued, and one worker thread per replica assembles them into batches of
+at most ``max_batch`` images.
 
-* ``max_batch`` -- never put more than this many images into one engine call;
-* ``max_wait`` -- never hold the oldest queued request longer than this many
-  seconds waiting for companions (the latency budget).
-
-A batch is flushed as soon as it is full *or* its oldest member's wait
-budget expires; whatever is queued at that moment rides along (greedy
-fill), so an idle server adds at most ``max_wait`` of latency and a
-saturated server runs full batches back to back.  An empty queue costs
+Dispatch is work-conserving: an idle worker takes the next request and
+whatever else is already queued, up to ``max_batch``, and runs the batch
+at once -- it never holds a request waiting for companions.  A lone
+request on an idle server therefore runs alone, with no added latency,
+while under load requests queue behind the busy replicas and the next
+batch fills from that backlog (the adaptive batching of Clipper and of
+Triton's dynamic batcher with zero queue delay).  An empty queue costs
 nothing: the worker blocks on the queue, no polling.
 
 Requests may carry micro-batches (``size > 1``).  Requests are atomic --
@@ -94,8 +94,6 @@ class DynamicBatcher:
     max_batch:
         Image budget per engine call (a single larger request still runs,
         alone).
-    max_wait:
-        Seconds the oldest queued request may wait for companions.
     max_queue:
         Optional bound on queued images; ``0`` means unbounded (admission
         control normally lives in front of the batcher, see
@@ -143,7 +141,6 @@ class DynamicBatcher:
         runner,
         *,
         max_batch: int = 32,
-        max_wait: float = 0.005,
         max_queue: int = 0,
         on_batch=None,
         on_expire=None,
@@ -172,7 +169,6 @@ class DynamicBatcher:
         except (TypeError, ValueError):  # pragma: no cover - builtins
             self._runner_takes_trace = False
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
         self.max_queue = int(max_queue)
         self.on_batch = on_batch
         self.on_expire = on_expire
@@ -333,8 +329,7 @@ class DynamicBatcher:
                 pending = []
             # The head request may have died waiting (carry-over included:
             # it waited out a whole previous batch).  Expire it here, ahead
-            # of assembly, so a dead head never anchors a batch's wait
-            # budget.
+            # of assembly, so a dead head never anchors a batch.
             if self._expired(first):
                 self._expire(first)
                 carry = pending
@@ -348,32 +343,24 @@ class DynamicBatcher:
     ) -> tuple[list[BatchRequest], int, list[BatchRequest]]:
         """Assemble one batch starting from ``first``; returns any carry.
 
-        Gathering is greedy exactly as before: ``pending`` (requests
-        carried over from the previous batch) is consumed first without
-        waiting, then the queue is drained against ``first``'s wait
-        budget until the image budget is met.  Packing then chooses which
-        gathered candidates actually ride: earliest-deadline-first when
-        ``edf`` is set, arrival order otherwise; either way packing stops
-        at the first candidate that does not fit, and it plus everything
-        after it carries to the next batch in order.
+        Gathering is greedy and never waits: ``pending`` (requests carried
+        over from the previous batch) is consumed first, then whatever is
+        already queued, until the image budget is met or the queue is
+        empty.  Packing then chooses which gathered candidates actually
+        ride: earliest-deadline-first when ``edf`` is set, arrival order
+        otherwise; either way packing stops at the first candidate that
+        does not fit, and it plus everything after it carries to the next
+        batch in order.
         """
         candidates = [first]
         images = first.size
         pending = list(pending or ())
-        flush_at = first.enqueued_at + self.max_wait
         while images < self.max_batch:
             if pending:
                 item = pending.pop(0)
             else:
-                timeout = flush_at - self.clock()
                 try:
-                    if timeout > 0:
-                        item = self._queue.get(timeout=timeout)
-                    else:
-                        # Budget spent: greedily take whatever is already
-                        # queued (batching queued work costs no extra
-                        # latency).
-                        item = self._queue.get_nowait()
+                    item = self._queue.get_nowait()
                 except queue_module.Empty:
                     break
                 if item is _STOP:

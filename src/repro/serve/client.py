@@ -81,7 +81,7 @@ class RetryPolicy:
     ) -> float:
         """The actual sleep before retry ``attempt``.
 
-        The server's advice is a *floor* (it knows its batching window);
+        The server's advice is a *floor* (it knows its own load);
         jitter spreads the base backoff by ``±jitter``.
         """
         delay = self.base_delay_ms(attempt)

@@ -414,9 +414,8 @@ def merge_endpoint_payloads(payloads: list[dict]) -> dict:
         merged.rejected_requests += payload["rejected_requests"]
         merged.rejected_images += payload["rejected_images"]
         merged.failed_requests += payload["failed_requests"]
-        # Older shard documents predate expiry accounting; treat as zero.
-        merged.expired_requests += payload.get("expired_requests", 0)
-        merged.expired_images += payload.get("expired_images", 0)
+        merged.expired_requests += payload["expired_requests"]
+        merged.expired_images += payload["expired_images"]
         merged.batches += payload["batches"]
         merged.batched_images += payload["batched_images"]
         merged.latency.merge_payload(payload["latency"])

@@ -61,7 +61,6 @@ class ModelSpec:
     slow_layers: tuple[str, ...] = ()
     slow_threads: int = 2
     max_batch: int = 32
-    max_wait_ms: float = 5.0
     max_pending: int = 512
     replicas: int = 1
     ladder_rungs: int = 0
@@ -102,7 +101,6 @@ class ModelSpec:
             "slow_layers": list(self.slow_layers),
             "slow_threads": self.slow_threads,
             "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait_ms,
             "max_pending": self.max_pending,
             "replicas": self.replicas,
             "ladder_rungs": self.ladder_rungs,

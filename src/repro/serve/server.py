@@ -110,6 +110,8 @@ _TELEMETRY_TICK_S = 1.0
 _DRAIN_TIMEOUT_S = 5.0
 #: Terminal responses remembered for ``X-Idempotency-Key`` replays.
 _IDEMPOTENCY_CACHE = 1024
+#: Milliseconds a shed (429) response advises the client to back off.
+_RETRY_AFTER_MS = 50.0
 
 
 def retry_after_header(retry_after_ms: float) -> str:
@@ -385,7 +387,6 @@ class NBSMTServer:
             batcher = DynamicBatcher(
                 runner,
                 max_batch=spec.max_batch,
-                max_wait=spec.max_wait_ms / 1000.0,
                 on_batch=on_batch,
                 # One assembly thread per replica keeps every forked worker
                 # busy; a single in-process replica gets a single thread.
@@ -1146,16 +1147,15 @@ class NBSMTServer:
         else:
             self.tracer.discard(trace)
 
-    def _shed_error(self, name: str, spec, message: str) -> _HttpError:
+    def _shed_error(self, name: str, message: str) -> _HttpError:
         """A 429 priced at the rung the retried request should expect.
 
         ``expected_rung`` is the rung the endpoint currently serves at --
         under the coordinator, the service-wide recommendation every shard
         follows -- so a client library can decide whether a retry is worth
         it (a degraded rung answers faster but noisier).  ``Retry-After``
-        advises one batching window.
+        advises a fixed ``_RETRY_AFTER_MS`` back-off.
         """
-        retry_after_ms = max(spec.max_wait_ms, 50.0)
         try:
             expected = self.pool.current_level(name)
             point = self.pool.current_point(name).describe()
@@ -1167,9 +1167,9 @@ class NBSMTServer:
             extra={
                 "expected_rung": expected,
                 "expected_point": point,
-                "retry_after_ms": retry_after_ms,
+                "retry_after_ms": _RETRY_AFTER_MS,
             },
-            headers={"Retry-After": retry_after_header(retry_after_ms)},
+            headers={"Retry-After": retry_after_header(_RETRY_AFTER_MS)},
         )
 
     async def _predict(self, name: str, body: bytes, headers=None, trace=None):
@@ -1296,7 +1296,6 @@ class NBSMTServer:
             endpoint_metrics.record_rejection(images)
             raise self._shed_error(
                 name,
-                spec,
                 f"endpoint {name!r} is saturated "
                 f"({admission.in_flight}/{admission.capacity} images in flight)",
             )
@@ -1310,7 +1309,7 @@ class NBSMTServer:
             logits, level = await asyncio.wrap_future(future)
         except QueueFull as exc:
             endpoint_metrics.record_rejection(images)
-            raise self._shed_error(name, spec, str(exc)) from None
+            raise self._shed_error(name, str(exc)) from None
         except DeadlineExceeded:
             # The batcher cancelled this request before compute: a shed,
             # not a failure -- counted as an expiry, answered explicitly.

@@ -38,7 +38,6 @@ def _make_http(tiny_provider, **server_kwargs):
         provider=tiny_provider,
         threads=2,
         max_batch=8,
-        max_wait_ms=2.0,
         max_pending=32,
     )
     params.update(server_kwargs)

@@ -39,7 +39,6 @@ def _make_stack(tiny_harness, tiny_provider, **overrides):
         fork_workers=2,
         threads=2,
         max_batch=8,
-        max_wait_ms=2.0,
         max_pending=32,
         provider=tiny_provider,
         images=tiny_harness.eval_images,

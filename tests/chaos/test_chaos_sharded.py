@@ -40,9 +40,7 @@ def test_shard_kill_keeps_merged_metrics_exact(tmp_path):
     from repro.serve.client import predict_once
     from repro.serve.registry import default_registry
 
-    registry = default_registry(
-        models=["resnet18"], threads=2, max_batch=8, max_wait_ms=2.0
-    )
+    registry = default_registry(models=["resnet18"], threads=2, max_batch=8)
     shards = 2
     sockets = sharding.create_shard_sockets("127.0.0.1", 0, shards)
     port = sockets[0].getsockname()[1]

@@ -20,7 +20,6 @@ def test_serving_stack_carries_the_production_wiring(
     stack = ServingStack(
         threads=2,
         max_batch=4,
-        max_wait_ms=1.0,
         provider=tiny_provider,
         images=tiny_harness.eval_images,
     )

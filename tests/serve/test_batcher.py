@@ -1,5 +1,7 @@
-"""Dynamic batcher: saturation, max-wait flush, idle behavior, lifecycle."""
+"""Dynamic batcher: saturation, work-conserving dispatch, idle behavior,
+lifecycle."""
 
+import queue
 import threading
 import time
 
@@ -24,7 +26,7 @@ class RecordingRunner:
 
 def test_saturated_queue_fills_batches_to_max_batch():
     runner = RecordingRunner()
-    batcher = DynamicBatcher(runner, max_batch=4, max_wait=0.05, autostart=False)
+    batcher = DynamicBatcher(runner, max_batch=4, autostart=False)
     futures = [batcher.submit(i) for i in range(10)]
     batcher.start()
     assert [future.result(timeout=5) for future in futures] == [
@@ -38,21 +40,71 @@ def test_saturated_queue_fills_batches_to_max_batch():
     )
 
 
-def test_max_wait_flushes_partial_batch():
+class RecordingQueue(queue.Queue):
+    """A request queue that records every timed wait on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.timed_waits: list[float] = []
+
+    def get(self, block=True, timeout=None):
+        if block and timeout is not None:
+            self.timed_waits.append(timeout)
+        return super().get(block, timeout)
+
+
+def test_lone_request_on_idle_batcher_runs_alone_at_once():
     runner = RecordingRunner()
-    batcher = DynamicBatcher(runner, max_batch=64, max_wait=0.02)
-    started = time.monotonic()
-    future = batcher.submit(21)
-    assert future.result(timeout=5) == 42
-    elapsed = time.monotonic() - started
+    batcher = DynamicBatcher(runner, max_batch=64, autostart=False)
+    batcher._queue = RecordingQueue()
+    batcher.start()
+    assert batcher.submit(21).result(timeout=5) == 42
+    assert batcher.submit(5).result(timeout=5) == 10
     batcher.close()
-    assert runner.batches == [[21]]
-    assert elapsed < 2.0  # flushed by the wait budget, not by batch fill
+    assert runner.batches == [[21], [5]]
+    # The worker blocks only while the queue is empty; it never holds a
+    # request on a timer waiting for companions.
+    assert batcher._queue.timed_waits == []
+
+
+def test_requests_queued_behind_a_busy_runner_ride_together_in_edf_order():
+    from repro.serve.deadline import Deadline
+
+    entered = threading.Event()
+    release = threading.Event()
+    batches: list[list] = []
+
+    def gated(payloads):
+        batches.append(list(payloads))
+        if len(batches) == 1:
+            entered.set()
+            assert release.wait(5)
+        return list(payloads)
+
+    batcher = DynamicBatcher(gated, max_batch=4)
+    head = batcher.submit("head")
+    assert entered.wait(5)  # the only worker is busy with the lone head
+    now = time.monotonic()
+    # Queued while the runner is blocked, in arrival order.  Gathering
+    # stops once the image budget is met (b + c + d = 4 images), EDF
+    # packs those least-slack first, and e and f ride in the next batch.
+    queued = [
+        batcher.submit("b", deadline=Deadline(now + 100.0)),
+        batcher.submit("c", deadline=Deadline(now + 10.0)),
+        batcher.submit("d", size=2, deadline=Deadline(now + 1.0)),
+        batcher.submit("e"),
+        batcher.submit("f", deadline=Deadline(now + 50.0)),
+    ]
+    release.set()
+    assert head.result(timeout=5) == "head"
+    assert [future.result(timeout=5) for future in queued] == list("bcdef")
+    batcher.close()
+    assert batches == [["head"], ["d", "c", "b"], ["f", "e"]]
 
 
 def test_empty_queue_idles_without_runner_calls():
     runner = RecordingRunner()
-    batcher = DynamicBatcher(runner, max_batch=4, max_wait=0.001)
+    batcher = DynamicBatcher(runner, max_batch=4)
     batcher.submit(1).result(timeout=5)
     calls_after_first = len(runner.batches)
     time.sleep(0.1)  # idle: the worker blocks on the queue, no polling
@@ -63,7 +115,7 @@ def test_empty_queue_idles_without_runner_calls():
 
 def test_micro_batch_requests_are_atomic_and_carry_over():
     runner = RecordingRunner()
-    batcher = DynamicBatcher(runner, max_batch=4, max_wait=0.05, autostart=False)
+    batcher = DynamicBatcher(runner, max_batch=4, autostart=False)
     sizes = [3, 2, 2, 1]
     futures = [batcher.submit(size, size=size) for size in sizes]
     batcher.start()
@@ -76,7 +128,7 @@ def test_micro_batch_requests_are_atomic_and_carry_over():
 
 def test_oversized_request_runs_alone():
     runner = RecordingRunner()
-    batcher = DynamicBatcher(runner, max_batch=4, max_wait=0.01)
+    batcher = DynamicBatcher(runner, max_batch=4)
     assert batcher.submit(9, size=9).result(timeout=5) == 18
     batcher.close()
     assert runner.batches == [[9]]
@@ -86,7 +138,7 @@ def test_runner_error_propagates_to_every_request_of_the_batch():
     def failing(payloads):
         raise ValueError("engine exploded")
 
-    batcher = DynamicBatcher(failing, max_batch=4, max_wait=0.05, autostart=False)
+    batcher = DynamicBatcher(failing, max_batch=4, autostart=False)
     futures = [batcher.submit(i) for i in range(3)]
     batcher.start()
     for future in futures:
@@ -97,7 +149,7 @@ def test_runner_error_propagates_to_every_request_of_the_batch():
 
 def test_close_drain_executes_queued_requests():
     runner = RecordingRunner()
-    batcher = DynamicBatcher(runner, max_batch=2, max_wait=10.0, autostart=False)
+    batcher = DynamicBatcher(runner, max_batch=2, autostart=False)
     futures = [batcher.submit(i) for i in range(5)]
     batcher.start()
     batcher.close(drain=True)
@@ -111,7 +163,7 @@ def test_close_drain_executes_queued_requests():
 
 def test_close_without_drain_cancels_queued_requests():
     runner = RecordingRunner()
-    batcher = DynamicBatcher(runner, max_batch=2, max_wait=10.0, autostart=False)
+    batcher = DynamicBatcher(runner, max_batch=2, autostart=False)
     futures = [batcher.submit(i) for i in range(4)]
     batcher.close(drain=False)
     assert all(future.cancelled() for future in futures)
@@ -127,7 +179,7 @@ def test_max_queue_rejects_when_full():
         release.wait(5)
         return list(payloads)
 
-    batcher = DynamicBatcher(slow, max_batch=1, max_wait=0.0, max_queue=2)
+    batcher = DynamicBatcher(slow, max_batch=1, max_queue=2)
     first = batcher.submit(0)
     assert entered.wait(5)  # worker is busy with the first request...
     batcher.submit(1)  # ...so these two fill the queue budget
@@ -153,7 +205,7 @@ def test_multiple_workers_execute_batches_concurrently():
         barrier.wait()  # requires two batches in flight at once
         return list(payloads)
 
-    batcher = DynamicBatcher(runner, max_batch=1, max_wait=0.0, workers=2)
+    batcher = DynamicBatcher(runner, max_batch=1, workers=2)
     futures = [batcher.submit(index) for index in range(2)]
     assert [future.result(timeout=5) for future in futures] == [0, 1]
     batcher.close()
@@ -162,7 +214,7 @@ def test_multiple_workers_execute_batches_concurrently():
 def test_multi_worker_close_drains_everything():
     runner = RecordingRunner()
     batcher = DynamicBatcher(
-        runner, max_batch=2, max_wait=10.0, workers=3, autostart=False
+        runner, max_batch=2, workers=3, autostart=False
     )
     futures = [batcher.submit(index) for index in range(7)]
     batcher.start()
@@ -179,7 +231,6 @@ def test_on_batch_reports_sizes_and_waits():
     batcher = DynamicBatcher(
         runner,
         max_batch=4,
-        max_wait=0.05,
         on_batch=reports.append,
         autostart=False,
     )
@@ -201,7 +252,7 @@ def test_edf_packs_least_slack_first_under_overflow():
 
     runner = RecordingRunner()
     batcher = DynamicBatcher(
-        runner, max_batch=4, max_wait=0.05, autostart=False
+        runner, max_batch=4, autostart=False
     )
     now = time.monotonic()
     # Arrival order: roomy deadline, mid deadline, none, nearest (a
@@ -225,7 +276,7 @@ def test_no_deadline_traffic_is_bit_identical_with_edf_off():
     for edf in (True, False):
         runner = RecordingRunner()
         batcher = DynamicBatcher(
-            runner, max_batch=4, max_wait=0.05, autostart=False, edf=edf
+            runner, max_batch=4, autostart=False, edf=edf
         )
         futures = [
             batcher.submit(index, size=size)

@@ -29,9 +29,8 @@ MAX_BATCH = 8
 
 
 class BatcherMachine(RuleBasedStateMachine):
-    @initialize(max_wait_ms=st.sampled_from([0.0, 1.0, 5.0]),
-                workers=st.integers(min_value=1, max_value=3))
-    def setup(self, max_wait_ms, workers):
+    @initialize(workers=st.integers(min_value=1, max_value=3))
+    def setup(self, workers):
         self.batches: list[list[tuple[int, int]]] = []
         self.batches_lock = threading.Lock()
 
@@ -43,7 +42,6 @@ class BatcherMachine(RuleBasedStateMachine):
         self.batcher = DynamicBatcher(
             runner,
             max_batch=MAX_BATCH,
-            max_wait=max_wait_ms / 1000.0,
             workers=workers,
             name="stateful",
         )

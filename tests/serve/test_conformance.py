@@ -91,7 +91,6 @@ def test_serving_at_fixed_rung_matches_golden_traces(
             policy=conformance.POLICY,
             ladder_rungs=conformance.LADDER_RUNGS,
             max_batch=tiny_harness.batch_size,
-            max_wait_ms=500.0,
         )
     )
     pool = EnginePool(registry, provider=tiny_provider, warm=False)
@@ -102,7 +101,6 @@ def test_serving_at_fixed_rung_matches_golden_traces(
             batcher = DynamicBatcher(
                 pool.runner_for(spec.name, with_point=True),
                 max_batch=spec.max_batch,
-                max_wait=spec.max_wait_ms / 1000.0,
                 autostart=False,
             )
             futures = [

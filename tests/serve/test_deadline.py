@@ -101,7 +101,6 @@ def test_batcher_expires_dead_requests_before_compute():
     batcher = DynamicBatcher(
         runner,
         max_batch=4,
-        max_wait=0.0,
         autostart=False,
         clock=clock,
         on_expire=lambda request: expired_hook.append(request.payload),
@@ -134,7 +133,6 @@ def test_batcher_expires_the_queue_head_without_anchoring_a_batch():
             payloads
         ),
         max_batch=2,
-        max_wait=0.0,
         autostart=False,
         clock=clock,
     )
@@ -155,7 +153,6 @@ def test_live_deadlines_ride_through_unharmed():
     batcher = DynamicBatcher(
         lambda payloads: [payload * 2 for payload in payloads],
         max_batch=8,
-        max_wait=0.001,
     )
     try:
         future = batcher.submit(21, deadline=Deadline.after_ms(60_000.0))
@@ -184,7 +181,6 @@ def deadline_server(tiny_harness, tiny_provider):
             threads=2,
             policy="S+A",
             max_batch=8,
-            max_wait_ms=2.0,
             max_pending=32,
         )
     )
@@ -273,7 +269,6 @@ def test_default_deadline_comes_from_the_spec(tiny_harness, tiny_provider):
             model="resnet18",
             threads=2,
             max_batch=8,
-            max_wait_ms=2.0,
             max_pending=32,
             default_deadline_ms=10.0,  # < one 20ms tick: everything is DOA
         )

@@ -32,7 +32,6 @@ def smoke_server(tiny_harness, tiny_provider):
             ladder_rungs=3,
             slow_threads=2,
             max_batch=8,
-            max_wait_ms=2.0,
             max_pending=32,
             latency_budget_ms=250.0,
         )

@@ -23,6 +23,11 @@ from repro.serve.metrics import EndpointMetrics
 from repro.serve.pool import EnginePool
 from repro.serve.registry import ModelSpec, ServeRegistry
 
+#: Open-loop arrival rate of the overload drive, in multiples of the
+#: capacity a one-in-flight closed loop measures first, and its length.
+OVERLOAD_FACTOR = 4.0
+OVERLOAD_SECONDS = 1.0
+
 
 def build_stack(tiny_provider, spec):
     registry = ServeRegistry()
@@ -33,7 +38,6 @@ def build_stack(tiny_provider, spec):
     batcher = DynamicBatcher(
         runner,
         max_batch=spec.max_batch,
-        max_wait=spec.max_wait_ms / 1000.0,
         on_batch=metrics.record_batch,
         autostart=False,
     )
@@ -51,7 +55,6 @@ def test_batched_serving_bit_identical_to_harness(
         threads=4,
         policy="S+A",
         max_batch=tiny_harness.batch_size,
-        max_wait_ms=500.0,
     )
     pool, metrics, batcher = build_stack(tiny_provider, spec)
     images = tiny_harness.eval_images
@@ -95,7 +98,7 @@ def test_batched_serving_bit_identical_to_harness(
 def test_drained_shutdown_serves_queued_requests(tiny_harness, tiny_provider):
     spec = ModelSpec(
         name="tinynet", model="resnet18", threads=2, policy="S+A",
-        max_batch=8, max_wait_ms=50.0,
+        max_batch=8,
     )
     pool, metrics, batcher = build_stack(tiny_provider, spec)
     futures = [
@@ -123,7 +126,6 @@ def test_http_server_end_to_end(tiny_harness, tiny_provider):
             threads=2,
             policy="S+A",
             max_batch=16,
-            max_wait_ms=2.0,
             max_pending=64,
         )
     )
@@ -251,7 +253,6 @@ def test_http_adaptive_endpoint_degrades_and_recovers(
             ladder_rungs=3,
             slow_threads=2,
             max_batch=4,
-            max_wait_ms=1.0,
             max_pending=2,  # tiny admission budget: overload sheds fast
         )
     )
@@ -278,13 +279,23 @@ def test_http_adaptive_endpoint_degrades_and_recovers(
     try:
         on_loop(server.start())
         url = f"http://127.0.0.1:{server.port}"
+        # The overload is relative to the host's speed: one request in
+        # flight at a time (admission pressure 0.5, inside the controller's
+        # dead band) measures the capacity, and the open loop offers a
+        # fixed multiple of it.
+        calm = run_load(
+            url, "tinynet", tiny_harness.eval_images,
+            requests=24, concurrency=1, batch_size=1,
+        )
+        assert calm.rejected == 0 and calm.errors == 0
+        rate = OVERLOAD_FACTOR * calm.requests / calm.elapsed_seconds
         point = fetch_json(url, "/v1/models/tinynet/operating_point")
         assert point["level"] == 0 and point["num_rungs"] == 3
 
         report = run_load(
             url, "tinynet", tiny_harness.eval_images,
-            requests=400, concurrency=8, batch_size=1,
-            mode="open", rate=400.0, latency_budget_ms=250.0,
+            requests=max(100, int(rate * OVERLOAD_SECONDS)), concurrency=8,
+            batch_size=1, mode="open", rate=rate, latency_budget_ms=250.0,
         )
         assert report.rejected > 0  # the overload actually happened
         assert report.latency_budget_s == pytest.approx(0.25)

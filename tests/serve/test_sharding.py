@@ -98,9 +98,7 @@ def test_sharded_front_end_serves_and_merges_metrics(tmp_path):
     from repro.serve.client import predict_once
     from repro.serve.registry import default_registry
 
-    registry = default_registry(
-        models=["resnet18"], threads=2, max_batch=8, max_wait_ms=2.0
-    )
+    registry = default_registry(models=["resnet18"], threads=2, max_batch=8)
     shards = 2
     sockets = sharding.create_shard_sockets("127.0.0.1", 0, shards)
     port = sockets[0].getsockname()[1]
@@ -193,7 +191,7 @@ def test_coordinated_shards_converge_and_stream_events(tmp_path):
 
     registry = default_registry(
         models=["resnet18"], threads=4, slow_threads=1, ladder_rungs=3,
-        max_batch=8, max_wait_ms=2.0,
+        max_batch=8,
     )
     shards = 2
     sockets = sharding.create_shard_sockets("127.0.0.1", 0, shards)

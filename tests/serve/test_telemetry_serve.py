@@ -27,7 +27,6 @@ def make_spec(**overrides):
         ladder_rungs=3,
         slow_threads=2,
         max_batch=8,
-        max_wait_ms=2.0,
         max_pending=32,
         latency_budget_ms=250.0,
     )

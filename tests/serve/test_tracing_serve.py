@@ -39,7 +39,6 @@ def _spec(**overrides):
         threads=2,
         policy="S+A",
         max_batch=8,
-        max_wait_ms=2.0,
         max_pending=32,
         latency_budget_ms=250.0,
     )

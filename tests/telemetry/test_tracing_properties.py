@@ -179,7 +179,6 @@ def test_concurrent_batching_yields_well_formed_trees(
     batcher = DynamicBatcher(
         _engine_runner,
         max_batch=max_batch,
-        max_wait=0.001,
         workers=workers,
         tracer=tracer,
         name="prop",
