@@ -21,13 +21,34 @@ import numpy as np
 
 from repro.core.policies import PackingPolicy
 from repro.core.precision import (
-    _ACT_REDUCE_LUT,
     _WGT_REDUCE_LUT,
     act_fits_4bit,
     reduce_act_to_4bit_msb,
     reduce_wgt_to_4bit_msb,
     wgt_fits_4bit,
 )
+
+
+def _act_delta_uint8(x: np.ndarray, width_primary: bool) -> np.ndarray:
+    """The activation reduction delta of uint8 ``x`` by uint8 arithmetic.
+
+    ``x + 8`` masked to its 4 MSBs is the rounded reduction, except that it
+    wraps to 0 for ``x >= 248``, whose reduction clips at 240; subtracting
+    16 there fixes both at once (a multiply by 16: uint8 shifts are not
+    vectorized).  Every step wraps modulo 256 and the true delta lies in
+    ``[-15, 8]``, so the result read as int8 is exact.  Each step is an
+    in-place uint8 ufunc over the operand: about a tenth of the cost of a
+    table look-up, which converts every index to intp.
+    """
+    delta = x + 8
+    delta &= 0xF0
+    clipped = (x >= 248).view(np.uint8)
+    clipped *= 16
+    delta -= clipped
+    delta -= x
+    if width_primary:
+        delta *= (x > 15).view(np.uint8)
+    return delta.view(np.int8)
 
 
 def _build_delta_luts() -> dict[tuple[str, bool], np.ndarray]:
@@ -38,22 +59,21 @@ def _build_delta_luts() -> dict[tuple[str, bool], np.ndarray]:
     deltas are bounded by 15 (8 from rounding, widened by clipping at the
     range ends, e.g. 255 -> 240), so they are stored as int8: the downstream
     masked-delta GEMMs are memory-bandwidth bound and narrow operands matter.
+    The activation tables are :func:`_act_delta_uint8` evaluated on every
+    uint8 value, so the 4-thread tables and the 2-thread arithmetic share
+    one definition; weight tables are indexed by ``value + 128``.
     """
-    act_values = np.arange(256, dtype=np.int64)
+    act_values = np.arange(256, dtype=np.uint8)
     wgt_values = np.arange(-128, 128, dtype=np.int64)
-    act_delta = _ACT_REDUCE_LUT - act_values
     wgt_delta = _WGT_REDUCE_LUT - wgt_values
-    luts = {
-        ("act", False): act_delta.astype(np.int8),
-        ("act", True): np.where(
-            act_fits_4bit(act_values), 0, act_delta
-        ).astype(np.int8),
+    return {
+        ("act", False): _act_delta_uint8(act_values, False),
+        ("act", True): _act_delta_uint8(act_values, True),
         ("wgt", False): wgt_delta.astype(np.int8),
         ("wgt", True): np.where(
             wgt_fits_4bit(wgt_values), 0, wgt_delta
         ).astype(np.int8),
     }
-    return luts
 
 
 _DELTA_LUTS = _build_delta_luts()
@@ -136,12 +156,17 @@ def colliding_product_4t(
 def act_reduction_delta(x: np.ndarray, policy: PackingPolicy) -> np.ndarray:
     """``x_effective - x`` for a colliding activation, ignoring the swap path.
 
-    Used by the factorized fast path of the 2-threaded executor: where the
-    policy keeps the exact value (4-bit fit) the delta is zero.
+    Used by the factorized 2-thread executor: where the policy keeps the
+    exact value (4-bit fit) the delta is zero.  Integer operands are
+    computed in uint8 (:func:`_act_delta_uint8`) and returned as int8;
+    other integer dtypes are clipped to ``[0, 255]`` and narrowed first, so
+    an out-of-range value gets the delta of its clipped value.
     """
     x = np.asarray(x)
     if x.dtype.kind in "iu":
-        return _DELTA_LUTS[("act", policy.width_primary)].take(np.clip(x, 0, 255))
+        if x.dtype != np.uint8:
+            x = np.clip(x, 0, 255).astype(np.uint8)
+        return _act_delta_uint8(x, policy.width_primary)
     x = x.astype(np.int64)
     delta = reduce_act_to_4bit_msb(x) - x
     if policy.width_primary:

@@ -273,56 +273,6 @@ def _exactness_groups(bounds: list[float]) -> list[tuple[list[int], type]]:
     return groups
 
 
-class _ErrorAccumulator:
-    """Collects separable error terms and evaluates them with few GEMMs.
-
-    Each term is ``(gate_l * val_l) @ (gate_r * val_r)`` for integer-valued
-    matrices of shapes ``(M, Kt)`` and ``(Kt, N)``.  Terms are only
-    described by :meth:`add`; :meth:`total` partitions them into exactly
-    evaluable groups (:func:`_exactness_groups`), writes the gated factors
-    directly into preallocated stacked operands (no per-term temporaries or
-    concatenation) and issues one BLAS call per group.
-    """
-
-    def __init__(self, m: int, n: int):
-        self.m = m
-        self.n = n
-        self._terms: list[tuple] = []
-
-    def add(
-        self,
-        gate_left: np.ndarray | bool,
-        values_left: np.ndarray,
-        gate_right: np.ndarray | bool,
-        values_right: np.ndarray,
-        bound: float,
-    ) -> None:
-        """Record the term; ``bound`` upper-bounds its product-sum magnitude."""
-        self._terms.append(
-            (gate_left, values_left, gate_right, values_right, bound)
-        )
-
-    def _evaluate_group(self, group: list[tuple], dtype) -> np.ndarray:
-        width = sum(term[1].shape[-1] for term in group)
-        lefts = np.empty((self.m, width), dtype=dtype)
-        rights = np.empty((width, self.n), dtype=dtype)
-        pos = 0
-        for gate_l, val_l, gate_r, val_r, _ in group:
-            stop = pos + val_l.shape[-1]
-            np.multiply(gate_l, val_l, out=lefts[:, pos:stop], casting="unsafe")
-            np.multiply(gate_r, val_r, out=rights[pos:stop, :], casting="unsafe")
-            pos = stop
-        return lefts @ rights
-
-    def total(self) -> np.ndarray:
-        """Evaluate all recorded terms; returns the integer error matrix."""
-        total = np.zeros((self.m, self.n))
-        for members, dtype in _exactness_groups([t[4] for t in self._terms]):
-            total += self._evaluate_group([self._terms[i] for i in members], dtype)
-        self._terms = []
-        return np.rint(total).astype(np.int64)
-
-
 class NBSMTMatmul:
     """Functional NB-SMT executor for a fixed thread count and policy.
 
@@ -452,30 +402,71 @@ def _operand_range(a: np.ndarray) -> tuple[int, int]:
     return int(a.min(initial=0)), int(a.max(initial=0))
 
 
-def _operand_maxima(x_t: np.ndarray, w_t: np.ndarray) -> tuple[int, int]:
-    """Maximum operand magnitudes, used to tighten GEMM exactness bounds."""
-    (x_lo, x_hi), (w_lo, w_hi) = _operand_range(x_t), _operand_range(w_t)
-    return max(-x_lo, x_hi), max(-w_lo, w_hi)
+def _narrowed(
+    x_q: np.ndarray, w_q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """In-contract operands in 8-bit storage: uint8 activations, int8 weights.
 
-
-def _narrowed(a: np.ndarray, max_abs: int) -> np.ndarray:
-    """The operand in at most two bytes per value.
-
-    The gated-GEMM assembly is memory bound, so narrow reads pay: 1- and
-    2-byte operands (the quantized model's uint8 activations) are kept,
-    wider ones become an int16 copy when their values fit (values outside
-    the int16 range break the 8-bit contract and are left untouched).
-    Consumers widen before arithmetic that could wrap: float GEMM operands,
-    intp look-up indices.
+    The quantized model already feeds C-contiguous uint8 activations, which
+    are kept as they are; any other storage is converted once.  Callers
+    check the 8-bit contract first (a wider value would wrap).  One-byte
+    operands keep the memory-bound passes over the activations cheap and
+    are what the uint8 delta arithmetic of
+    :func:`packing.act_reduction_delta` takes; consumers still widen before
+    arithmetic that could wrap (float GEMM operands, intp look-up indices of
+    the weight deltas).
     """
-    if a.dtype.itemsize <= 2 or max_abs > 32767:
-        return a
-    return a.astype(np.int16)
+    return np.ascontiguousarray(x_q, dtype=np.uint8), w_q.astype(np.int8)
+
+
+#: Rows per uint8 partial sum in :func:`_column_counts`: a block's count
+#: of any column stays at most 255.
+_COUNT_BLOCK = 255
+
+
+def _column_counts(mask: np.ndarray) -> np.ndarray:
+    """Per-column true counts (int64) of a C-contiguous ``(M, K)`` bool mask.
+
+    Blocks of :data:`_COUNT_BLOCK` rows are summed in uint8 and the block
+    sums in int64, which costs about half of the buffered bool -> int64
+    ``sum(axis=0)``.
+    """
+    rows = mask.view(np.uint8)
+    m, k = rows.shape
+    whole = m - m % _COUNT_BLOCK
+    blocks = rows[:whole].reshape(whole // _COUNT_BLOCK, _COUNT_BLOCK, k)
+    return (blocks.sum(axis=1, dtype=np.uint8).sum(axis=0, dtype=np.int64)
+            + rows[whole:].sum(axis=0, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
 # Factorized 2-thread fast path
 # ---------------------------------------------------------------------------
+
+#: Activation rows per step of the 2-thread kernel: every per-row pass
+#: (masks, deltas, float operands, GEMMs) works on a block that stays in
+#: cache.  A multiple of :data:`_COUNT_BLOCK`.
+_ROW_BLOCK = 4 * _COUNT_BLOCK
+
+
+def _half_groups(
+    right: np.ndarray, half_bound: float
+) -> list[tuple[slice, np.ndarray]]:
+    """Exactly evaluable GEMM groups over the two thread halves of K.
+
+    ``right`` is a ``(K, N)`` operand and ``half_bound`` bounds the
+    product-sum magnitude of one half.  The halves share one GEMM unless
+    their summed bound needs float64 (:func:`_exactness_groups`): two
+    float32 GEMMs beat one float64 GEMM.  Returns ``(K columns, right rows
+    in the group's float dtype)`` pairs.
+    """
+    kt = right.shape[0] // 2
+    groups = []
+    for members, dtype in _exactness_groups([half_bound, half_bound]):
+        cols = slice(members[0] * kt, (members[-1] + 1) * kt)
+        groups.append((cols, right[cols].astype(dtype)))
+    return groups
+
 
 def _fast_2t(
     x_q: np.ndarray,
@@ -483,89 +474,103 @@ def _fast_2t(
     policy: PackingPolicy,
     collect_stats: bool,
 ) -> tuple[np.ndarray, SMTStatistics | None]:
-    """Factorized 2-thread execution: exact matmul plus masked-delta matmuls."""
-    amax, wmax = _operand_maxima(x_q, w_q)
-    x_t, w_t = split_into_threads(
-        _narrowed(x_q, amax), _narrowed(w_q, wmax), 2
-    )
-    x1, x2 = x_t[0], x_t[1]
-    w1, w2 = w_t[0], w_t[1]
-    m, kt = x1.shape
-    n = w1.shape[1]
+    """Factorized 2-thread execution: exact matmul plus masked-delta matmuls.
 
-    exact = _int_gemm(x_q, w_q, bound=2.0 * kt * amax * wmax)
+    Thread 1 takes the first half of K and thread 2 the second, so the
+    threads are column halves of the operands (odd K is padded with one
+    zero column and row).  With sparsity detection the two threads collide
+    at ``(m, k, n)`` iff both activations and both weights are nonzero, so
+    the collision indicator factors into an activation-side ``(M, Kt)``
+    and a weight-side ``(Kt, N)`` mask; without it every position
+    collides.  The error of both threads is then one GEMM of gated
+    factors: the activation reduction deltas (uint8 arithmetic,
+    :func:`packing.act_reduction_delta`) against the weights, or the
+    activations against the weight deltas.  The weight side is prepared
+    once; the activation side is processed in blocks of
+    :data:`_ROW_BLOCK` rows, each block's exact and error GEMMs issued
+    while it is in cache.  The statistics are products of per-column mask
+    counts (:func:`_column_counts`) and per-row ones.
 
-    act_nonzero_1, act_nonzero_2 = x1 != 0, x2 != 0
-    wgt_nonzero_1, wgt_nonzero_2 = w1 != 0, w2 != 0
-    if policy.sparsity:
-        collide_act = act_nonzero_1 & act_nonzero_2          # (M, Kt)
-        collide_wgt = wgt_nonzero_1 & wgt_nonzero_2          # (Kt, N)
+    Operands outside the 8-bit contract take the chunked reference path,
+    whose semantics (the reduction of the clipped value replaces the
+    operand) the delta arithmetic does not model.
+    """
+    (x_lo, x_hi), (w_lo, w_hi) = _operand_range(x_q), _operand_range(w_q)
+    if x_lo < 0 or x_hi > 255 or w_lo < -128 or w_hi > 127:
+        x_t, w_t = split_into_threads(x_q, w_q, 2)
+        return _reference_multi_t(x_t, w_t, policy, collect_stats, 256)
+    amax, wmax = x_hi, max(-w_lo, w_hi)
+    x_q, w_q = _narrowed(x_q, w_q)
+    if x_q.shape[1] != w_q.shape[0]:
+        raise ValueError("inner dimensions of X and W differ")
+    if x_q.shape[1] % 2:
+        x_q = np.pad(x_q, ((0, 0), (0, 1)))
+        w_q = np.pad(w_q, ((0, 1), (0, 0)))
+    m, k = x_q.shape
+    n = w_q.shape[1]
+    kt = k // 2
+
+    wgt_nonzero = w_q != 0                                    # (K, N)
+    collide_wgt = wgt_nonzero[:kt] & wgt_nonzero[kt:]         # (Kt, N)
+    if policy.reduce == "act":
+        right = w_q
+        if policy.width_secondary:
+            right = right * ~wgt_fits_4bit(w_q)
+        error_bound = float(kt) * _DELTA_MAX * wmax
     else:
-        collide_act = np.ones_like(act_nonzero_1, dtype=bool)
-        collide_wgt = np.ones_like(wgt_nonzero_1, dtype=bool)
+        right = packing.wgt_reduction_delta(w_q, policy)
+        error_bound = float(kt) * amax * _DELTA_MAX
+    if policy.sparsity:
+        right = right * np.concatenate([collide_wgt, collide_wgt])
+    exact_groups = _half_groups(w_q, float(kt) * amax * wmax)
+    error_groups = _half_groups(right, error_bound)
 
-    accumulator = _ErrorAccumulator(m, n)
-    reduced_positions = 0
-    for x_self, w_self in ((x1, w1), (x2, w2)):
+    # Integer-valued float64 sums of exact GEMM results.
+    exact = np.zeros((m, n))
+    error = np.zeros((m, n))
+    act_cols = np.zeros(k, dtype=np.int64)      # nonzero activations
+    collide_cols = np.zeros(kt, dtype=np.int64)  # both threads' nonzero
+    error_cols = np.zeros(k, dtype=np.int64)     # nonzero gated left factor
+    for start in range(0, m, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        x_block = x_q[rows]                                   # (b, K)
+        for cols, w_cast in exact_groups:
+            exact[rows] += x_block[:, cols].astype(w_cast.dtype) @ w_cast
+        nonzero = x_block != 0
+        collide_act = nonzero[:, :kt] & nonzero[:, kt:]       # (b, Kt)
         if policy.reduce == "act":
-            delta = packing.act_reduction_delta(x_self, policy)       # (M, Kt)
-            right_values = w_self
-            if policy.width_secondary:
-                right_values = w_self * ~wgt_fits_4bit(w_self)
-            accumulator.add(
-                collide_act, delta, collide_wgt, right_values,
-                bound=float(kt) * _DELTA_MAX * wmax,
-            )
+            left = packing.act_reduction_delta(x_block, policy)
+        elif policy.width_secondary:
+            left = x_block * (x_block > 15).view(np.uint8)
         else:
-            delta = packing.wgt_reduction_delta(w_self, policy)       # (Kt, N)
-            left_values = x_self
-            if policy.width_secondary:
-                left_values = x_self * ~act_fits_4bit(x_self)
-            accumulator.add(
-                collide_act, left_values, collide_wgt, delta,
-                bound=float(kt) * amax * _DELTA_MAX,
-            )
+            left = x_block.copy() if policy.sparsity else x_block
+        if policy.sparsity:
+            halves = left.reshape(len(left), 2, kt)          # a view
+            halves *= collide_act.view(left.dtype)[:, None]
+        for cols, right_cast in error_groups:
+            error[rows] += left[:, cols].astype(right_cast.dtype) @ right_cast
         if collect_stats:
-            if policy.reduce == "act":
-                err_cols = collide_act & (delta != 0)
-                err_rows = collide_wgt & (w_self != 0)
-                if policy.width_secondary:
-                    err_rows = err_rows & (~wgt_fits_4bit(w_self))
-            else:
-                err_cols = collide_act & (x_self != 0)
-                if policy.width_secondary:
-                    err_cols = err_cols & (~act_fits_4bit(x_self))
-                err_rows = collide_wgt & (delta != 0)
-            reduced_positions += int(
-                err_cols.sum(axis=0).astype(np.int64)
-                @ err_rows.sum(axis=1).astype(np.int64)
-            )
-
-    out = exact + accumulator.total()
-
+            act_cols += _column_counts(nonzero)
+            collide_cols += _column_counts(collide_act)
+            error_cols += _column_counts(left != 0)
+    out = (exact + error).astype(np.int64)
     if not collect_stats:
         return out, None
 
     stats = SMTStatistics()
-    active_1 = int(act_nonzero_1.sum(axis=0).astype(np.int64)
-                   @ wgt_nonzero_1.sum(axis=1).astype(np.int64))
-    active_2 = int(act_nonzero_2.sum(axis=0).astype(np.int64)
-                   @ wgt_nonzero_2.sum(axis=1).astype(np.int64))
-    both_active = int(
-        (act_nonzero_1 & act_nonzero_2).sum(axis=0).astype(np.int64)
-        @ (wgt_nonzero_1 & wgt_nonzero_2).sum(axis=1).astype(np.int64)
-    )
+    mac_active = int(act_cols @ wgt_nonzero.sum(axis=1))
+    both_active = int(collide_cols @ collide_wgt.sum(axis=1))
     stats.mac_total = 2 * m * kt * n
-    stats.mac_active = active_1 + active_2
+    stats.mac_active = mac_active
     stats.mac_collided = 2 * both_active
-    stats.mac_reduced = reduced_positions
+    stats.mac_reduced = int(error_cols @ (right != 0).sum(axis=1))
     stats.slots_total = m * kt * n
-    stats.slots_active = active_1 + active_2 - both_active
-    stats.act_values = int(x1.size + x2.size)
-    stats.act_nonzero = int(act_nonzero_1.sum() + act_nonzero_2.sum())
-    stats.sum_sq_error = float(((out - exact).astype(np.float64) ** 2).sum())
-    stats.sum_sq_exact = float((exact.astype(np.float64) ** 2).sum())
-    stats.outputs = int(exact.size)
+    stats.slots_active = mac_active - both_active
+    stats.act_values = 2 * m * kt
+    stats.act_nonzero = int(act_cols.sum())
+    stats.sum_sq_error = float(np.square(error, out=error).sum())
+    stats.sum_sq_exact = float(np.square(exact, out=exact).sum())
+    stats.outputs = m * n
     return out, stats
 
 

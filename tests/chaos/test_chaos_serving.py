@@ -32,6 +32,9 @@ SEED = 20260808
 #: Open-loop arrival rate of the overload phase, in multiples of the
 #: stack's measured closed-loop capacity.
 OVERLOAD_FACTOR = 3.0
+#: Open-loop arrival rate of the fault-free recovery phase, as a fraction
+#: of the same measured capacity: well below it, so nothing queues up.
+RECOVERY_LOAD = 0.25
 
 
 def _make_stack(tiny_harness, tiny_provider, **overrides):
@@ -237,7 +240,8 @@ def test_deadline_expiry_under_overload_keeps_the_ledger_exact(
         # Fault-free recovery: without deadlines everything admitted
         # completes again.
         recovery = drive_open_loop(
-            stack, rate=20.0, duration=1.0, budget_s=30.0, ledger=ledger
+            stack, rate=RECOVERY_LOAD * capacity, duration=1.0, budget_s=30.0,
+            ledger=ledger,
         )
         checker.check_recovered(
             recovery["completed"], recovery["admitted"], 30.0,

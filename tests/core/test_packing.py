@@ -1,11 +1,16 @@
 """Effective-operand computation under the packing policies."""
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import packing
 from repro.core.policies import get_policy
-from repro.core.precision import reduce_act_to_4bit_msb, reduce_wgt_to_4bit_msb
+from repro.core.precision import (
+    act_fits_4bit,
+    reduce_act_to_4bit_msb,
+    reduce_wgt_to_4bit_msb,
+)
 
 
 def test_thread_active_with_and_without_sparsity():
@@ -74,6 +79,22 @@ def test_act_reduction_delta_zero_iff_no_error(x, w):
         assert int(delta[0]) == 0
     else:
         assert int(delta[0]) == int(reduce_act_to_4bit_msb(x)) - x
+
+
+@pytest.mark.parametrize("policy_name", ["S", "S+A"])
+def test_act_reduction_delta_exhaustive_over_uint8(policy_name):
+    """The uint8 arithmetic equals the int64 reduction on every activation."""
+    policy = get_policy(policy_name)
+    x = np.arange(256, dtype=np.uint8)
+    wide = x.astype(np.int64)
+    expected = reduce_act_to_4bit_msb(wide) - wide
+    if policy.width_primary:
+        expected = np.where(act_fits_4bit(wide), 0, expected)
+    delta = packing.act_reduction_delta(x, policy)
+    assert delta.dtype == np.int8
+    assert np.array_equal(delta.astype(np.int64), expected)
+    # The 4-thread tables are the same function on every uint8 value.
+    assert np.array_equal(packing._DELTA_LUTS[("act", policy.width_primary)], delta)
 
 
 @given(st.integers(min_value=-127, max_value=127))

@@ -286,9 +286,10 @@ def test_statistics_payload_roundtrip(rng):
 _STATS_FIELDS = tuple(SMTStatistics().to_payload())
 
 
-def _assert_4t_matches_reference(x, w, policy, **fast_kwargs):
-    fast = NBSMTMatmul(4, policy, collect_stats=True, **fast_kwargs)
-    reference = NBSMTMatmul(4, policy, collect_stats=True, force_reference=True)
+def _assert_matches_reference(x, w, policy, threads=4, **fast_kwargs):
+    fast = NBSMTMatmul(threads, policy, collect_stats=True, **fast_kwargs)
+    reference = NBSMTMatmul(threads, policy, collect_stats=True,
+                            force_reference=True)
     out = fast.matmul(x, w)
     assert np.array_equal(out, reference.matmul(x, w))
     for field in _STATS_FIELDS:
@@ -328,7 +329,7 @@ def test_4t_large_k_max_magnitude_uses_float32_groups_and_float64(
     w = rng.choice([127, 113, 127, -128], size=(k, n)).astype(np.int64)
     x[rng.random((m, k)) < 0.05] = 0
     w[rng.random((k, n)) < 0.01] = 0
-    _assert_4t_matches_reference(x, w, policy)
+    _assert_matches_reference(x, w, policy)
     assert np.float64 in seen
     assert seen.count(np.float32) >= 2
 
@@ -343,8 +344,8 @@ def test_4t_resnet_shaped_row_selection_all_paths_agree():
     # Some weight patterns occur in only part of the K rows.
     assert any(0 < count < w_t.shape[1] for count in rows_with)
     for policy in ALL_POLICIES:
-        pruned = _assert_4t_matches_reference(x, w, policy, prune_blocks=True)
-        unpruned = _assert_4t_matches_reference(x, w, policy, prune_blocks=False)
+        pruned = _assert_matches_reference(x, w, policy, prune_blocks=True)
+        unpruned = _assert_matches_reference(x, w, policy, prune_blocks=False)
         legacy = NBSMTMatmul(4, policy, collect_stats=False, fast4t_impl="legacy")
         assert np.array_equal(pruned, unpruned)
         assert np.array_equal(pruned, legacy.matmul(x, w))
@@ -356,14 +357,78 @@ def test_4t_degenerate_shapes_match_reference(shapes):
     x = np.full(shapes[0], 200, dtype=np.int64)
     w = np.full(shapes[1], -100, dtype=np.int64)
     for prune_blocks in (True, False):
-        out = _assert_4t_matches_reference(x, w, "S+A", prune_blocks=prune_blocks)
+        out = _assert_matches_reference(x, w, "S+A", prune_blocks=prune_blocks)
         assert out.shape == (shapes[0][0], shapes[1][1])
 
 
 def test_4t_operands_outside_8_bits_take_the_reference_semantics():
     x = np.array([[300, 5, 0, 17]])
     w = np.array([[3], [100], [-5], [7]])
-    _assert_4t_matches_reference(x, w, "S+A")
+    _assert_matches_reference(x, w, "S+A")
+
+
+@pytest.mark.parametrize("policy, x, w", [
+    # Activation 300 (k = 0) collides with 17 (k = 2): the reference
+    # replaces it by the reduction of 255, not 300 plus that delta.
+    ("S+A", [[300, 5, 17, 0]], [[3], [100], [-5], [7]]),
+    # Weight 200 (k = 0) collides with -5 (k = 2), likewise.
+    ("S+W", [[30, 5, 17, 0]], [[200], [3], [-5], [7]]),
+])
+def test_2t_operands_outside_8_bits_take_the_reference_semantics(policy, x, w):
+    _assert_matches_reference(np.array(x), np.array(w), policy, threads=2)
+
+
+# -- row blocks and thread halves of the 2-thread path ------------------------------
+
+@pytest.mark.parametrize("m", [1000, 2300])
+@pytest.mark.parametrize("k", [47, 48])
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_2t_many_rows_match_reference(m, k, policy):
+    """M beyond one 255-row counting block and one row block, odd and even K.
+
+    Neither M is a multiple of either block, so the last block is partial;
+    odd K pads thread 2 with a zero column.  Uniform 8-bit values reach
+    the clipped range ends (248-255 reduce to 240).
+    """
+    rng = new_rng(m + k)
+    x = rng.integers(0, 256, size=(m, k))
+    w = rng.integers(-128, 128, size=(k, 6))
+    # Dense first rows: every count of a 255-row block reaches 255.
+    x[600:][rng.random((m - 600, k)) < 0.4] = 0
+    w[rng.random((k, 6)) < 0.2] = 0
+    _assert_matches_reference(x.astype(np.uint8), w.astype(np.int32), policy,
+                              threads=2)
+
+
+@pytest.mark.parametrize("policy", ["S+A", "S+aW", "min"])
+def test_2t_large_k_max_magnitude_splits_thread_halves(monkeypatch, policy):
+    """K large enough that the thread halves need separate GEMMs.
+
+    Each half's exact product needs float64; the halves' error terms need
+    float64 too (weight deltas against 8-bit activations) or fit float32
+    one half at a time (activation deltas against 8-bit weights).
+    """
+    import repro.core.smt as smt
+
+    seen = []
+    groups = smt._exactness_groups
+
+    def spy(bounds):
+        result = groups(bounds)
+        seen.extend(dtype for _, dtype in result)
+        return result
+
+    monkeypatch.setattr(smt, "_exactness_groups", spy)
+    rng = new_rng(7)
+    m, k, n = 3, 2 * 4400, 2
+    x = rng.choice([255, 248, 241], size=(m, k)).astype(np.int64)
+    w = rng.choice([127, 113, 127, -128], size=(k, n)).astype(np.int64)
+    x[rng.random((m, k)) < 0.05] = 0
+    w[rng.random((k, n)) < 0.01] = 0
+    _assert_matches_reference(x, w, policy, threads=2)
+    # Two groups each for the exact and the error GEMMs.
+    assert len(seen) == 4
+    assert seen[:2] == [np.float64, np.float64]
 
 
 # -- operand storage dtypes ----------------------------------------------------

@@ -124,6 +124,18 @@ def test_4t_factorized_reference_legacy_agree_determinism_tier(case, prune_block
     _assert_stats_equal(fast.stats, reference.stats, f"{policy}/T4")
 
 
+@pytest.mark.slow
+@DETERMINISM_SETTINGS
+@given(case=nbsmt_case())
+def test_2t_factorized_reference_agree_determinism_tier(case):
+    """The 2-thread path against the chunked reference, at the determinism budget."""
+    x, w, _, policy = case
+    fast = NBSMTMatmul(2, policy, collect_stats=True)
+    reference = NBSMTMatmul(2, policy, collect_stats=True, force_reference=True)
+    np.testing.assert_array_equal(fast.matmul(x, w), reference.matmul(x, w))
+    _assert_stats_equal(fast.stats, reference.stats, f"{policy}/T2")
+
+
 @STANDARD_SETTINGS
 @given(case=nbsmt_case(max_m=20))
 def test_stats_merge_equals_whole_run(case):
