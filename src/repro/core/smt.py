@@ -17,9 +17,15 @@ Three implementations are provided and cross-checked by the test suite:
   2-thread collision indicator factors into an activation-side and a
   weight-side mask; the 4-thread error is partitioned by the weight-side
   thread-activity pattern, which makes every demand gate a function of the
-  activation-side pattern alone, so each error term is a separable block
-  written with one table look-up; the blocks are stacked along the inner
-  dimension and evaluated with a handful of BLAS calls);
+  activation-side pattern alone, so each error term is a separable block;
+  the blocks are stacked along the inner dimension and evaluated with a
+  handful of BLAS calls).  Both kernels take the thread slices of K as
+  column views of the operands and make one pass over the activation rows
+  in cache-sized blocks, each block's exact GEMM, reduced operands (uint8
+  arithmetic, :func:`packing._act_delta_uint8`) and error GEMMs issued
+  together; everything that depends on the weights alone is built once
+  (the 4-thread kernel keeps it in a per-executor weight plan, rebuilt
+  only when the weight values change);
 * the seed's original 4-thread factorized implementation
   (:func:`_fast_4t_legacy`), kept as a cross-check oracle.
 
@@ -45,8 +51,6 @@ from repro.quant.engine import exact_int_matmul
 
 #: Largest product-sum magnitude exactly representable by a float32 GEMM.
 _F32_EXACT_LIMIT = 1 << 24
-#: Largest product-sum magnitude exactly representable by a float64 GEMM.
-_F64_EXACT_LIMIT = 1 << 53
 #: Worst-case magnitude of a 4-bit reduction delta.  Rounding alone is
 #: bounded by 8, but clipping at the representable range ends widens it
 #: (255 -> 240, 127 -> 112); derived from the tables so it cannot drift.
@@ -231,23 +235,6 @@ def _as_int64(a: np.ndarray) -> np.ndarray:
     return a if a.dtype == np.int64 else a.astype(np.int64)
 
 
-def _int_gemm(left: np.ndarray, right: np.ndarray, bound: float) -> np.ndarray:
-    """Exact integer matmul of integer-valued matrices through BLAS.
-
-    ``bound`` is an upper bound on ``sum_k |left[m, k] * right[k, n]|``; it
-    decides the narrowest float dtype whose accumulations stay lossless
-    (every partial sum is an integer below the mantissa limit, so the result
-    is exact regardless of the accumulation order).
-    """
-    if bound < _F32_EXACT_LIMIT:
-        dtype = np.float32
-    elif bound < _F64_EXACT_LIMIT:
-        dtype = np.float64
-    else:  # pragma: no cover - unreachable for 8-bit operands
-        return _as_int64(left) @ _as_int64(right)
-    return np.rint(left.astype(dtype) @ right.astype(dtype)).astype(np.int64)
-
-
 def _exactness_groups(bounds: list[float]) -> list[tuple[list[int], type]]:
     """Partition GEMM terms into exactly evaluable groups.
 
@@ -292,14 +279,18 @@ class NBSMTMatmul:
     chunk_rows:
         Row chunk size of the reference implementation.
     fast4t_impl:
-        ``"stacked"`` (default) selects the optimized stacked-GEMM 4-thread
-        path; ``"legacy"`` selects the seed's original factorized
+        ``"stacked"`` (default) selects the one-pass stacked-GEMM 4-thread
+        kernel; ``"legacy"`` selects the seed's original factorized
         implementation, kept as a cross-check oracle (its ``mac_reduced``
         counter is a collision-count proxy, not the exact reduction count).
     prune_blocks:
         Row selection in the stacked 4-thread path: each error block is
         stacked only over the K rows where its weight-side activity pattern
         occurs (otherwise over all K rows).  Bit-exact either way.
+
+    The stacked 4-thread kernel keeps the work that depends on the weights
+    alone in a weight plan (:class:`_WeightPlan`), reused by later calls
+    with the same weight values.
     """
 
     def __init__(
@@ -324,6 +315,7 @@ class NBSMTMatmul:
         self.fast4t_impl = fast4t_impl
         self.prune_blocks = prune_blocks
         self.stats = SMTStatistics()
+        self._weight_plan: _WeightPlan | None = None
 
     # -- public API -----------------------------------------------------------
     def reset_stats(self) -> None:
@@ -354,28 +346,54 @@ class NBSMTMatmul:
                 self._record_single_thread(x_q, w_q)
             return out
 
-        if self.threads == 2 and not self.force_reference:
-            out, stats = _fast_2t(x_q, w_q, self.policy, self.collect_stats)
-        else:
+        if self.force_reference:
             x_t, w_t = split_into_threads(x_q, w_q, self.threads)
-            if self.force_reference:
-                out, stats = _reference_multi_t(
-                    x_t, w_t, self.policy, self.collect_stats, self.chunk_rows
-                )
-            elif self.fast4t_impl == "legacy":
-                out, stats = _fast_4t_legacy(
-                    x_t, w_t, self.policy, self.collect_stats
-                )
-            else:
-                out, stats = _fast_4t(
-                    x_t, w_t, self.policy, self.collect_stats,
-                    prune_blocks=self.prune_blocks,
-                )
+            out, stats = _reference_multi_t(
+                x_t, w_t, self.policy, self.collect_stats, self.chunk_rows
+            )
+        elif self.threads == 2:
+            out, stats = _fast_2t(x_q, w_q, self.policy, self.collect_stats)
+        elif self.fast4t_impl == "legacy":
+            x_t, w_t = split_into_threads(x_q, w_q, self.threads)
+            out, stats = _fast_4t_legacy(
+                x_t, w_t, self.policy, self.collect_stats)
+        else:
+            out, stats = self._fast_4t(x_q, w_q)
         if self.collect_stats and stats is not None:
             self.stats.merge(stats)
         return out
 
     # -- internals --------------------------------------------------------------
+    def _fast_4t(
+        self, x_q: np.ndarray, w_q: np.ndarray
+    ) -> tuple[np.ndarray, SMTStatistics | None]:
+        """The one-pass 4-thread kernel, with this executor's weight plan.
+
+        Operands outside the 8-bit contract take the chunked reference path
+        (the kernel's reduced operands cover the contract only).  Inside
+        it, K is padded with zero columns/rows to a multiple of 4 when it
+        needs it, and the weight plan is rebuilt only when the weight
+        values differ from the ones it was built for.
+        """
+        (x_lo, x_hi), (w_lo, w_hi) = _operand_range(x_q), _operand_range(w_q)
+        if x_lo < 0 or x_hi > 255 or w_lo < -128 or w_hi > 127:
+            x_t, w_t = split_into_threads(x_q, w_q, 4)
+            return _reference_multi_t(x_t, w_t, self.policy,
+                                      self.collect_stats, 256)
+        x_q, w_q = _narrowed(x_q, w_q)
+        if x_q.shape[1] != w_q.shape[0]:
+            raise ValueError("inner dimensions of X and W differ")
+        pad = -x_q.shape[1] % 4
+        if pad:
+            x_q = np.pad(x_q, ((0, 0), (0, pad)))
+            w_q = np.pad(w_q, ((0, pad), (0, 0)))
+        plan = self._weight_plan
+        if plan is None or not plan.matches(w_q, self.policy,
+                                            self.prune_blocks):
+            plan = self._weight_plan = _WeightPlan(
+                w_q, self.policy, self.prune_blocks)
+        return _fast_4t(x_q, plan, self.collect_stats)
+
     def _record_single_thread(self, x_q: np.ndarray, w_q: np.ndarray) -> None:
         stats = SMTStatistics()
         active = _count_active(x_q, w_q)
@@ -449,20 +467,21 @@ def _column_counts(mask: np.ndarray) -> np.ndarray:
 _ROW_BLOCK = 4 * _COUNT_BLOCK
 
 
-def _half_groups(
-    right: np.ndarray, half_bound: float
+def _thread_groups(
+    right: np.ndarray, threads: int, thread_bound: float
 ) -> list[tuple[slice, np.ndarray]]:
-    """Exactly evaluable GEMM groups over the two thread halves of K.
+    """Exactly evaluable GEMM groups over the thread slices of K.
 
-    ``right`` is a ``(K, N)`` operand and ``half_bound`` bounds the
-    product-sum magnitude of one half.  The halves share one GEMM unless
-    their summed bound needs float64 (:func:`_exactness_groups`): two
-    float32 GEMMs beat one float64 GEMM.  Returns ``(K columns, right rows
-    in the group's float dtype)`` pairs.
+    ``right`` is a ``(K, N)`` operand whose K rows split into ``threads``
+    equal slices, and ``thread_bound`` bounds the product-sum magnitude of
+    one slice.  Consecutive slices share one GEMM while their summed bound
+    allows float32 (:func:`_exactness_groups`): several float32 GEMMs beat
+    one float64 GEMM.  Returns ``(K columns, right rows in the group's float
+    dtype)`` pairs.
     """
-    kt = right.shape[0] // 2
+    kt = right.shape[0] // threads
     groups = []
-    for members, dtype in _exactness_groups([half_bound, half_bound]):
+    for members, dtype in _exactness_groups([thread_bound] * threads):
         cols = slice(members[0] * kt, (members[-1] + 1) * kt)
         groups.append((cols, right[cols].astype(dtype)))
     return groups
@@ -522,8 +541,8 @@ def _fast_2t(
         error_bound = float(kt) * amax * _DELTA_MAX
     if policy.sparsity:
         right = right * np.concatenate([collide_wgt, collide_wgt])
-    exact_groups = _half_groups(w_q, float(kt) * amax * wmax)
-    error_groups = _half_groups(right, error_bound)
+    exact_groups = _thread_groups(w_q, 2, float(kt) * amax * wmax)
+    error_groups = _thread_groups(right, 2, error_bound)
 
     # Integer-valued float64 sums of exact GEMM results.
     exact = np.zeros((m, n))
@@ -580,27 +599,24 @@ def _fast_2t(
 
 @lru_cache(maxsize=None)
 def _value_luts(width_primary: bool) -> dict[str, np.ndarray]:
-    """Per-operand-value lookup tables of the 4-thread error factors.
+    """Per-operand-value lookup tables of the 4-thread weight-side factors.
 
-    Activation tables are indexed by ``x`` (0..255), weight tables by
-    ``w + 128``.  Everything derives from the delta tables in
-    :mod:`repro.core.packing` (the single source of the width-gated
-    reduction semantics): the effective 4b-4b operand is ``value + delta``
-    and an operand changed iff its delta is nonzero.  ``secx`` / ``secw``
-    are the operands an ``Aw`` / ``aW`` pair collision still reduces (the
-    partner does not fit in 4 bits); ``xcls`` / ``wcls`` are the statistics
-    classes ``changed | fits << 1`` (see :func:`_reduced_tables`).
+    Weight tables are indexed by ``w + 128`` (``x4``, the 4b-4b
+    activation the legacy path looks up, by ``x``).  Everything derives
+    from the delta tables in :mod:`repro.core.packing` (the single source
+    of the width-gated reduction semantics): the effective 4b-4b operand is
+    ``value + delta`` and an operand changed iff its delta is nonzero.
+    ``secw`` is the weight an ``aW`` pair collision still reduces (the
+    partner does not fit in 4 bits); ``wcls`` is the statistics class
+    ``changed | fits << 1`` (see :func:`_reduced_tables`).
     """
-    act = np.arange(256, dtype=np.int64)
     wgt = np.arange(-128, 128, dtype=np.int64)
     dx = packing._DELTA_LUTS[("act", width_primary)].astype(np.int64)
     dw = packing._DELTA_LUTS[("wgt", width_primary)].astype(np.int64)
-    afits = act_fits_4bit(act)
     wfits = wgt_fits_4bit(wgt)
     return {
-        "x": act, "dx": dx, "x4": act + dx, "secx": act * ~afits,
+        "x4": np.arange(256) + dx,
         "w": wgt, "dw": dw, "w4": wgt + dw, "secw": wgt * ~wfits,
-        "xcls": (dx != 0) + 2 * afits,
         "wcls": (dw != 0) + 2 * wfits,
     }
 
@@ -635,55 +651,30 @@ def _error_factors(policy: PackingPolicy) -> list[tuple[str, str, str]]:
     return pair + [("ge2", "dx", "w4")]
 
 
-def _fused(gate: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Table of ``gate[pattern] * values[v]`` at index ``pattern + 16 * v``."""
-    return (values[:, None] * gate[None, :]).ravel().astype(np.float32)
-
-
 @lru_cache(maxsize=None)
 def _pattern_blocks(policy: PackingPolicy) -> tuple[tuple[tuple, ...], ...]:
-    """Fused look-up tables of every thread's error blocks.
+    """Error blocks of every thread.
 
     Returns, per thread ``t``, ``(pattern, factors)`` entries.  ``pattern``
     is the 4-bit weight-side activity pattern ``b | 1 << t`` the block is
     restricted to (``b``: the other threads' weight pattern; ``None``: an
-    ungated block), ``factors`` a tuple of ``(left_table, right_table,
-    left_kind, right_kind)``.  A left table is indexed by ``alpha + 16 * x``
-    and holds ``gate(alpha) * left(x)``: where the weight pattern is
+    ungated block), ``factors`` a tuple of ``(gate, left_kind,
+    right_kind)`` (:func:`_error_factors`).  Where the weight pattern is
     ``pattern`` and ``t`` is active, the other active threads are exactly
-    ``alpha & b``, so the demand gate is a function of ``alpha`` alone.  A
-    right table is indexed by ``beta + 16 * (w + 128)`` and holds
-    ``[beta == pattern] * right(w)``.  Entries are small integers, exact in
-    float32.
+    ``alpha & b``, so the demand gate is a condition on the number of
+    nonzero activations among the threads of ``b`` (:func:`_demand_gate`);
+    with one other thread there is no ``ge2`` block.
     """
-    luts = _value_luts(policy.width_primary)
-    codes = np.arange(16)
-    factors = _error_factors(policy)
+    factors = tuple(_error_factors(policy))
     if not policy.sparsity:
-        ones = np.ones(16, dtype=bool)
-        entry = (None, tuple(
-            (_fused(ones, luts[left]), _fused(ones, luts[right]), left, right)
-            for _, left, right in factors
-        ))
-        return ((entry,),) * 4
-    blocks = []
-    for t in range(4):
-        active = ((codes >> t) & 1).astype(bool)
-        entries = []
-        for b in range(1, 16):
-            if b & (1 << t):
-                continue
-            others = _popcount4(codes & b)
-            gates = {"eq1": others == 1, "ge1": others >= 1, "ge2": others >= 2}
-            pattern = b | (1 << t)
-            entries.append((pattern, tuple(
-                (_fused(active & gates[gate], luts[left]),
-                 _fused(codes == pattern, luts[right]), left, right)
-                for gate, left, right in factors
-                if (active & gates[gate]).any()
-            )))
-        blocks.append(tuple(entries))
-    return tuple(blocks)
+        return (((None, factors),),) * 4
+    return tuple(
+        tuple((b | 1 << t, tuple(
+            factor for factor in factors
+            if factor[0] != "ge2" or _popcount4(b) >= 2))
+            for b in range(1, 16) if not b & 1 << t)
+        for t in range(4)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -763,21 +754,44 @@ def _activity_pattern(values: np.ndarray) -> np.ndarray:
     return pattern
 
 
-def _code_histograms(index: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """Per-thread, per-K histograms ``(T, Kt, 64)`` of ``pattern | cls << 4``.
+def _joint_codes(x_k: np.ndarray, bits: np.ndarray,
+                 delta: np.ndarray, out: np.ndarray) -> None:
+    """Write the joint activation codes of a K-major block into ``out``.
 
-    ``index`` holds the K-major fused indices ``pattern + 16 * v`` of shape
-    ``(T, Kt, ·)`` (``v``: the operand value offset to start at 0) and
-    ``classes[v]`` the 2-bit statistics class of each value.  One bincount
-    per K row keeps every row's counting in cache.
+    ``x_k`` is the ``(4, Kt, b)`` uint8 block, ``bits`` its 0/1 uint8
+    nonzero masks and ``delta`` its int8 reduction deltas; ``out`` is a
+    ``(Kt, b)`` uint16 view.  Per thread the nonzero, changed
+    (``delta != 0``) and fits (``x <= 15``) bits are summed into the code
+    in uint8 arithmetic.
     """
-    threads, kt = index.shape[:2]
-    counts = np.empty((threads * kt, 4096))
-    for row, values in enumerate(index.reshape(threads * kt, index.shape[2])):
+    weights = np.array([1, 2, 4, 8], dtype=np.uint8)[:, None, None]
+    low = bits + (delta != 0).view(np.uint8) * np.uint8(16)
+    low *= weights
+    high = (x_k <= 15).view(np.uint8) * weights
+    np.multiply(high.sum(axis=0, dtype=np.uint8), 256, out=out,
+                dtype=np.uint16)
+    out += low.sum(axis=0, dtype=np.uint8)
+
+
+def _code_histograms(codes: np.ndarray) -> np.ndarray:
+    """Per-thread, per-K histograms ``(4, Kt, 64)`` of ``alpha | xcls << 4``.
+
+    ``codes`` holds the ``(Kt, M)`` joint codes of :func:`_joint_codes`.
+    One 4096-bin bincount per K row keeps every row's counting in cache.
+    Thread ``t``'s histogram sums out the other threads' changed and fits
+    bits; its ``fits_t, changed_t, alpha`` bins are ``alpha | xcls << 4``.
+    """
+    kt = codes.shape[0]
+    counts = np.empty((kt, 4096), dtype=np.int64)
+    for row, values in enumerate(codes):
         counts[row] = np.bincount(values, minlength=4096)
-    fold = (classes[None, :] == np.arange(4)[:, None]).astype(np.float64)
-    hist = fold @ counts.reshape(threads * kt, 256, 16)
-    return hist.astype(np.int64).reshape(threads, kt, 64)
+    # Axes 1-4: fits bits of threads 3..0; axes 5-8: changed bits; alpha.
+    bits = counts.reshape((kt,) + (2,) * 8 + (16,))
+    return np.stack([
+        bits.sum(axis=tuple(axis for axis in range(1, 9)
+                            if axis not in (4 - t, 8 - t))).reshape(kt, 64)
+        for t in range(4)
+    ])
 
 
 def _contract(
@@ -787,65 +801,160 @@ def _contract(
     return int(((hist_a @ table) * hist_b).sum())
 
 
-#: M columns per step of the cache-blocked K-major passes: the transposition
-#: and the assembly of the stacked operand, whose chunks stay in cache
-#: until their GEMM reads them.
-_M_BLOCK = 512
+#: Activation rows per step of the 4-thread kernel: the transposed block,
+#: its masks and reduced operands stay small, and each assembly call covers
+#: enough columns to amortize its Python overhead.
+_ROW_BLOCK_4T = 2048
+#: Columns per GEMM of a row block: each panel of a one-byte operand is
+#: converted to float and multiplied while the copy is still in cache.
+_PANEL = 512
 
 
-def _stacked_gemm(
-    blocks: list[tuple], left_idx: np.ndarray, right_idx: np.ndarray
-) -> np.ndarray:
-    """Exact integer sum of separable blocks, evaluated by stacked GEMMs.
+class _WeightPlan:
+    """Everything the 4-thread kernel derives from one layer's weights.
 
-    Each block is ``(t, rows, count, left_table, right_table, bound)`` and
-    stands for ``left_table[left_idx[t][rows]].T @
-    right_table[right_idx[t][rows]]`` (``rows``: the ``count`` selected K
-    rows of thread ``t``, None for all); ``bound`` upper-bounds its
-    product-sum magnitude.  Blocks are stacked along K into exactly
-    evaluable groups (:func:`_exactness_groups`); each group's left operand
-    is assembled in M chunks of :data:`_M_BLOCK` columns, each multiplied
-    while it is in cache.  Returns the ``(M, N)`` int64 result.
+    Built from the narrowed ``(K, N)`` int8 weights (K a multiple of 4) and
+    reused while the weights stay the same (:meth:`matches` compares their
+    values, so a permuted or changed weight matrix gets a new plan).  Its
+    exactness bounds take the 8-bit activation maximum, 255, so a plan never
+    depends on the activations.  Holds
+
+    * ``exact_groups``: exactly evaluable ``(K columns, float weights)``
+      GEMM groups of the exact product, over whole thread slices;
+    * ``groups``: the error blocks as ``(members, rights, signed)``
+      exactness groups, ``members`` listing ``(t, K rows or None, count,
+      pattern, gate, left_kind)``, the int8 ``dx`` blocks first, ``rights``
+      the stacked ``(S, N)`` right operand (each block's ``[beta ==
+      pattern] * right(w)`` rows, looked up in :func:`_value_luts`, in
+      the group's float dtype) and ``signed`` the number of stacked rows
+      with int8 left operands;
+    * ``hist_b``: the weight-side ``(4, Kt, 64)`` statistics histograms of
+      ``beta | wcls << 4``.
     """
-    m, n = left_idx.shape[2], right_idx.shape[2]
-    # Accumulated transposed, (N, M): rights.T @ lefts runs the GEMM on the
-    # K-major operand without a transposed-operand penalty.
-    total = np.zeros((n, m))
-    for members, dtype in _exactness_groups([block[-1] for block in blocks]):
-        group = [blocks[i] for i in members]
-        rights_t = np.concatenate([
-            right.astype(dtype).take(
-                right_idx[t] if rows is None else right_idx[t][rows])
-            for t, rows, _, _, right, _ in group
-        ]).T.copy()
-        lefts_buffer = np.empty(rights_t.shape[1] * _M_BLOCK, dtype=dtype)
-        tables = [left.astype(dtype, copy=False) for *_, left, _, _ in group]
-        for start in range(0, m, _M_BLOCK):
-            cols = slice(start, start + _M_BLOCK)
-            chunk = min(m - start, _M_BLOCK)
-            lefts = lefts_buffer[: rights_t.shape[1] * chunk].reshape(-1, chunk)
-            pos, gathered = 0, None
-            for (t, rows, count, *_), table in zip(group, tables):
-                if gathered != (t, id(rows)):
-                    gathered = (t, id(rows))
-                    # One intp conversion per chunk, shared by the factors.
-                    left_rows = (left_idx[t, :, cols] if rows is None
-                                 else left_idx[t][rows, cols]).astype(np.intp)
-                np.take(table, left_rows, out=lefts[pos:pos + count],
-                        mode="clip")
-                pos += count
-            total[:, cols] += rights_t @ lefts
-    return np.rint(total.T).astype(np.int64, order="C")
+
+    def __init__(self, w_q: np.ndarray, policy: PackingPolicy,
+                 prune_blocks: bool):
+        self.weights = w_q
+        self.policy = policy
+        self.prune_blocks = prune_blocks
+        k, self.n = w_q.shape
+        self.kt = kt = k // 4
+        w_t = w_q.reshape(4, kt, self.n)
+        w_lo, w_hi = _operand_range(w_q)
+        wmax = max(-w_lo, w_hi)
+        self.exact_groups = _thread_groups(w_q, 4, float(kt) * 255 * wmax)
+
+        beta = _activity_pattern(w_t)                          # (Kt, N)
+        w_idx = w_t.astype(np.intp) + 128                      # table index
+        luts = _value_luts(policy.width_primary)
+        present = np.zeros((kt, 16), dtype=bool)
+        present[np.arange(kt)[:, None], beta] = True
+        left_max = {"x": 255, "secx": 255, "dx": _DELTA_MAX,
+                    "x4": 255 + _DELTA_MAX}
+        right_max = {"w": wmax, "secw": wmax, "dw": _DELTA_MAX,
+                     "w4": wmax + _DELTA_MAX}
+        blocks = []
+        for t, entries in enumerate(_pattern_blocks(policy)):
+            for pattern, factors in entries:
+                rows, count = None, kt
+                if prune_blocks and pattern is not None:
+                    count = int(present[:, pattern].sum())
+                    if count < kt:
+                        rows = np.flatnonzero(present[:, pattern])
+                if not count:
+                    continue
+                for gate, left, right in factors:
+                    bound = count * left_max[left] * right_max[right]
+                    blocks.append(((t, rows, count, pattern, gate, left),
+                                   right, bound))
+        self.groups = []
+        for members, dtype in _exactness_groups([b[-1] for b in blocks]):
+            # The int8 left operands (deltas) first, then the uint8 ones.
+            group = sorted((blocks[i] for i in members),
+                           key=lambda block: block[0][-1] != "dx")
+            rights = []
+            for (t, rows, _, pattern, *_), right, _ in group:
+                values = luts[right].take(w_idx[t])
+                if pattern is not None:
+                    values = values * (beta == pattern)
+                rights.append(values if rows is None else values[rows])
+            signed = sum(member[2] for member, _, _ in group
+                         if member[-1] == "dx")
+            self.groups.append(([member for member, _, _ in group],
+                                np.concatenate(rights).astype(dtype), signed))
+
+        self.left_kinds = {left for _, left, _ in _error_factors(policy)}
+        codes = beta | luts["wcls"].take(w_idx) << 4           # (4, Kt, N)
+        offsets = np.arange(4 * kt).reshape(4, kt, 1) * 64
+        self.hist_b = np.bincount(
+            (codes + offsets).ravel(), minlength=4 * kt * 64
+        ).reshape(4, kt, 64)
+
+    def matches(self, w_q: np.ndarray, policy: PackingPolicy,
+                prune_blocks: bool) -> bool:
+        """Whether this plan was built for these weight values and settings."""
+        return (policy == self.policy and prune_blocks == self.prune_blocks
+                and w_q.shape == self.weights.shape
+                and np.array_equal(w_q, self.weights))
+
+
+def _left_values(
+    x_k: np.ndarray, kinds: set[str], width_primary: bool
+) -> dict[str, np.ndarray]:
+    """The left operands of the error blocks on K-major uint8 activations.
+
+    ``dx`` is the reduction delta (int8, :func:`packing._act_delta_uint8`;
+    every policy has a ``dx`` block, and the statistics read it too),
+    ``x4 = x + dx`` the 4b-4b operand (uint8 arithmetic wraps back into
+    range), ``secx`` the activation a swap-port pair collision still
+    reduces (``x > 15``).  Each is zero wherever ``x`` is.
+    """
+    values = {"x": x_k, "dx": packing._act_delta_uint8(x_k, width_primary)}
+    if "x4" in kinds:
+        values["x4"] = x_k + values["dx"].view(np.uint8)
+    if "secx" in kinds:
+        values["secx"] = x_k * (x_k > 15).view(np.uint8)
+    return values
+
+
+def _demand_gate(bits: np.ndarray, pattern: int, gate: str) -> np.ndarray:
+    """Activation-side demand gate of the blocks of one weight pattern.
+
+    ``bits`` holds the ``(4, Kt, b)`` 0/1 uint8 nonzero masks of the
+    K-major thread views.  A block's left operand vanishes where thread
+    ``t``'s own activation is zero; elsewhere the number of other active
+    threads is the count of nonzero activations over the pattern's threads
+    minus one.  ``eq1``, ``ge1`` and ``ge2`` compare it with 1, 1 and 2,
+    so one mask serves every thread of the pattern.
+    """
+    count = sum(bits[s] for s in range(4) if pattern >> s & 1)
+    if gate == "eq1":
+        return count == 2
+    return count >= (3 if gate == "ge2" else 2)
+
+
+def _panel_gemms(acc: np.ndarray, start: int, lefts: np.ndarray,
+                 rights: np.ndarray, buffer: np.ndarray,
+                 signed: int = 0) -> None:
+    """``acc[start:start + b] += lefts.T @ rights`` in column panels.
+
+    ``lefts`` is a ``(S, b)`` one-byte K-major operand (its first ``signed``
+    rows int8, the rest uint8).  Each panel of :data:`_PANEL` columns is
+    converted into ``buffer`` (``rights``' float dtype) and multiplied
+    while the copy is still in cache.
+    """
+    for col in range(0, lefts.shape[1], _PANEL):
+        panel = lefts[:, col:col + _PANEL]
+        floats = buffer[:panel.size].reshape(panel.shape)
+        np.copyto(floats[:signed], panel[:signed].view(np.int8))
+        np.copyto(floats[signed:], panel[signed:])
+        acc[start + col:start + col + panel.shape[1]] += floats.T @ rights
 
 
 def _fast_4t(
-    x_t: np.ndarray,
-    w_t: np.ndarray,
-    policy: PackingPolicy,
-    collect_stats: bool,
-    prune_blocks: bool = True,
+    x_q: np.ndarray, plan: _WeightPlan, collect_stats: bool
 ) -> tuple[np.ndarray, SMTStatistics | None]:
-    """Optimized factorized 4-thread execution.
+    """Factorized 4-thread execution in one pass over the activation rows.
 
     The NB-SMT output equals the exact product plus every thread's error.
     Where thread ``t`` is active its demand is ``1 + popcount(alpha & b)``,
@@ -854,76 +963,84 @@ def _fast_4t(
     ``(k, n)``.  Partitioning the weight positions by their pattern
     therefore turns each demand gate into a function of ``alpha`` alone, and
     the error into separable blocks ``(g(alpha) * L) @ ([beta == p] * R)``
-    (:func:`_error_factors`, :func:`_pattern_blocks`).  Each block is one
-    look-up of a fused table into K-major stacked operands, and the stack is
-    evaluated with a few BLAS GEMMs whose float dtype is chosen by exactness
-    bounds.  Statistics are reconstructed exactly from per-K histograms of
-    the same fused indices (see :func:`_reduced_tables`).
+    (:func:`_error_factors`, :func:`_pattern_blocks`).  The right sides
+    are stacked once per weight matrix (:class:`_WeightPlan`).
 
-    ``prune_blocks`` stacks only the K rows where a block's weight pattern
-    occurs; without it every block spans all K rows.  Bit-exact either way.
+    ``x_q`` is C-contiguous uint8 with K a multiple of 4; thread ``t`` is
+    its ``t``-th quarter of columns.  The rows are processed in blocks of
+    :data:`_ROW_BLOCK_4T`, each transposed once to K-major.  The block's
+    exact GEMM runs on it, and every error block's left rows are written
+    into a one-byte stacked operand as a demand gate (:func:`_demand_gate`,
+    from the threads' nonzero masks) times a left value in uint8
+    arithmetic (:func:`_left_values`); both are converted to float and
+    multiplied in panels of :data:`_PANEL` columns (:func:`_panel_gemms`).
+    Statistics are reconstructed exactly from per-K histograms of joint
+    activation codes (:func:`_joint_codes`), contracted with the plan's
+    weight histograms (see :func:`_reduced_tables`).
     """
     threads = 4
-    (x_lo, x_hi), (w_lo, w_hi) = _operand_range(x_t), _operand_range(w_t)
-    if x_lo < 0 or x_hi > 255 or w_lo < -128 or w_hi > 127:
-        # The fused tables cover the 8-bit operand contract only.
-        return _reference_multi_t(x_t, w_t, policy, collect_stats, 256)
-    amax, wmax = x_hi, max(-w_lo, w_hi)
-    m, kt = x_t.shape[1:]
-    n = w_t.shape[2]
-
-    # K-major fused indices alpha + 16 * x, shape (T, Kt, M), and
-    # beta + 16 * (w + 128), shape (T, Kt, N).
-    left_idx = np.empty((threads, kt, m), dtype=np.uint16)
-    for start in range(0, m, _M_BLOCK):
-        cols = slice(start, start + _M_BLOCK)
-        np.copyto(left_idx[:, :, cols], x_t[:, cols].transpose(0, 2, 1),
-                  casting="unsafe")
-    exact = np.ascontiguousarray(_int_gemm(
-        w_t.reshape(threads * kt, n).T,
-        left_idx.reshape(threads * kt, m),
-        bound=4.0 * kt * amax * wmax,
-    ).T)
-    alpha = _activity_pattern(left_idx)
-    left_idx <<= 4
-    left_idx |= alpha
-    beta = _activity_pattern(w_t)
-    right_idx = ((w_t.astype(np.intp) + 128) << 4) | beta
-
-    # Which weight patterns occur in each K row.
-    present = np.zeros((kt, 16), dtype=bool)
-    present[np.arange(kt)[:, None], beta] = True
-    left_max = {"x": amax, "secx": amax, "dx": _DELTA_MAX,
-                "x4": amax + _DELTA_MAX}
-    right_max = {"w": wmax, "secw": wmax, "dw": _DELTA_MAX,
-                 "w4": wmax + _DELTA_MAX}
-    blocks = []
-    for t, entries in enumerate(_pattern_blocks(policy)):
-        for pattern, factors in entries:
-            rows, count = None, kt
-            if prune_blocks and pattern is not None:
-                count = int(present[:, pattern].sum())
-                if count < kt:
-                    rows = np.flatnonzero(present[:, pattern])
-            for left, right, left_kind, right_kind in factors:
-                if count:
-                    bound = count * left_max[left_kind] * right_max[right_kind]
-                    blocks.append((t, rows, count, left, right, bound))
-    out = exact + _stacked_gemm(blocks, left_idx, right_idx)
-
+    m = x_q.shape[0]
+    kt, n = plan.kt, plan.n
+    # Integer-valued float64 sums of exact GEMM results.
+    exact = np.zeros((m, n))
+    error = np.zeros((m, n))
+    codes = np.empty((kt, m), np.uint16) if collect_stats else None
+    # Reused across row blocks: the stacked operand in one-byte storage,
+    # and the float copy of one panel of it per GEMM dtype.
+    stacked = max([len(rights) for _, rights, _ in plan.groups] + [4 * kt])
+    lefts_bytes = np.empty(stacked * min(m, _ROW_BLOCK_4T), np.uint8)
+    floats = {rights.dtype: np.empty(stacked * _PANEL, rights.dtype)
+              for rights in [w for _, w in plan.exact_groups]
+              + [rights for _, rights, _ in plan.groups]}
+    for start in range(0, m, _ROW_BLOCK_4T):
+        x_block = x_q[start:start + _ROW_BLOCK_4T]            # (b, K)
+        x_k = np.ascontiguousarray(x_block.T).reshape(
+            threads, kt, len(x_block))
+        x_rows = x_k.reshape(threads * kt, len(x_block))
+        for cols, w_cast in plan.exact_groups:
+            _panel_gemms(exact, start, x_rows[cols], w_cast,
+                         floats[w_cast.dtype])
+        bits = (x_k != 0).view(np.uint8)                       # (4, Kt, b)
+        values = _left_values(x_k, plan.left_kinds, plan.policy.width_primary)
+        gates = {}
+        for members, rights, signed in plan.groups:
+            shape = (len(rights), len(x_block))
+            lefts = lefts_bytes[:shape[0] * shape[1]].reshape(shape)
+            pos = 0
+            for t, k_rows, count, pattern, gate, left in members:
+                if gate != "all" and (pattern, gate) not in gates:
+                    gates[pattern, gate] = _demand_gate(bits, pattern, gate)
+                gate_rows = gates.get((pattern, gate))
+                left_rows = values[left][t]
+                if k_rows is not None:
+                    left_rows = left_rows[k_rows]
+                    if gate_rows is not None:
+                        gate_rows = gate_rows[k_rows]
+                out = lefts[pos:pos + count].view(left_rows.dtype)
+                if gate_rows is None:
+                    np.copyto(out, left_rows)
+                else:
+                    np.multiply(gate_rows, left_rows, out=out)
+                pos += count
+            _panel_gemms(error, start, lefts, rights, floats[rights.dtype],
+                         signed)
+        if collect_stats:
+            _joint_codes(x_k, bits, values["dx"],
+                         codes[:, start:start + _ROW_BLOCK_4T])
+    out = np.empty((m, n), dtype=np.int64)
+    np.add(exact, error, out=out, casting="unsafe")
     if not collect_stats:
         return out, None
 
     stats = SMTStatistics()
-    luts = _value_luts(policy.width_primary)
-    hist_a = _code_histograms(left_idx, luts["xcls"])
-    hist_b = _code_histograms(right_idx, luts["wcls"])
+    hist_a = _code_histograms(codes)
+    hist_b = plan.hist_b
     # 16-bin activity histograms, marginalized from the richer 64-bin ones.
     hist_alpha = hist_a[0].reshape(kt, 4, 16).sum(axis=1)
     hist_beta = hist_b[0].reshape(kt, 4, 16).sum(axis=1)
 
     activity = _activity_tables()
-    reduced_tables = _reduced_tables(policy)
+    reduced_tables = _reduced_tables(plan.policy)
     stats.mac_total = threads * m * kt * n
     stats.mac_active = _contract(hist_alpha, activity["active"], hist_beta)
     stats.mac_collided = _contract(hist_alpha, activity["collided"], hist_beta)
@@ -937,9 +1054,9 @@ def _fast_4t(
     stats.slots_active = _contract(hist_alpha, activity["slots"], hist_beta)
     stats.act_values = threads * m * kt
     stats.act_nonzero = int(hist_alpha.sum(axis=0) @ _popcount4(np.arange(16)))
-    stats.sum_sq_error = float(((out - exact).astype(np.float64) ** 2).sum())
-    stats.sum_sq_exact = float((exact.astype(np.float64) ** 2).sum())
-    stats.outputs = int(exact.size)
+    stats.sum_sq_error = float(np.square(error, out=error).sum())
+    stats.sum_sq_exact = float(np.square(exact, out=exact).sum())
+    stats.outputs = m * n
     return out, stats
 
 

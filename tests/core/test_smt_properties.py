@@ -18,7 +18,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from repro.core.policies import POLICY_NAMES
+from repro.core.policies import POLICY_NAMES, get_policy
 from repro.core.smt import NBSMTMatmul, SMTStatistics
 from repro.systolic.sysmt import SySMTArray
 from tests.strategies import (
@@ -165,6 +165,28 @@ def test_vectorized_explicit_matches_functional(case):
     out_explicit, _ = array.matmul_explicit(x, w)
     expected = NBSMTMatmul(threads, policy, collect_stats=False).matmul(x, w)
     np.testing.assert_array_equal(out_explicit, expected)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("threads", [2, 4])
+@DETERMINISM_SETTINGS
+@given(case=nbsmt_case(max_m=16, max_k=24, max_n=8))
+def test_explicit_matches_factorized_determinism_tier(case, threads):
+    """The lane-level explicit simulator against the factorized kernels.
+
+    Outputs must agree bit for bit, and the simulator's PE cycle counts
+    must equal the functional issue-slot counters (every cycle is active
+    without sparsity detection, where every thread always demands the MAC).
+    """
+    x, w, _, policy = case
+    array = SySMTArray(rows=4, cols=4, threads=threads, policy=policy)
+    out_explicit, report = array.matmul_explicit(x, w)
+    fast = NBSMTMatmul(threads, policy, collect_stats=True)
+    np.testing.assert_array_equal(out_explicit, fast.matmul(x, w))
+    assert report.mac_cycles_total == fast.stats.slots_total
+    assert report.mac_cycles_active == (
+        fast.stats.slots_active if get_policy(policy).sparsity
+        else fast.stats.slots_total)
 
 
 @pytest.mark.slow
