@@ -24,8 +24,7 @@ Three implementations are provided and cross-checked by the test suite:
   in cache-sized blocks, each block's exact GEMM, reduced operands (uint8
   arithmetic, :func:`packing._act_delta_uint8`) and error GEMMs issued
   together; everything that depends on the weights alone is built once
-  (the 4-thread kernel keeps it in a per-executor weight plan, rebuilt
-  only when the weight values change);
+  per call, before the pass (the 4-thread kernel's weight plan);
 * the seed's original 4-thread factorized implementation
   (:func:`_fast_4t_legacy`), kept as a cross-check oracle.
 
@@ -287,10 +286,6 @@ class NBSMTMatmul:
         Row selection in the stacked 4-thread path: each error block is
         stacked only over the K rows where its weight-side activity pattern
         occurs (otherwise over all K rows).  Bit-exact either way.
-
-    The stacked 4-thread kernel keeps the work that depends on the weights
-    alone in a weight plan (:class:`_WeightPlan`), reused by later calls
-    with the same weight values.
     """
 
     def __init__(
@@ -315,7 +310,6 @@ class NBSMTMatmul:
         self.fast4t_impl = fast4t_impl
         self.prune_blocks = prune_blocks
         self.stats = SMTStatistics()
-        self._weight_plan: _WeightPlan | None = None
 
     # -- public API -----------------------------------------------------------
     def reset_stats(self) -> None:
@@ -358,42 +352,13 @@ class NBSMTMatmul:
             out, stats = _fast_4t_legacy(
                 x_t, w_t, self.policy, self.collect_stats)
         else:
-            out, stats = self._fast_4t(x_q, w_q)
+            out, stats = _fast_4t(x_q, w_q, self.policy, self.collect_stats,
+                                  self.prune_blocks)
         if self.collect_stats and stats is not None:
             self.stats.merge(stats)
         return out
 
     # -- internals --------------------------------------------------------------
-    def _fast_4t(
-        self, x_q: np.ndarray, w_q: np.ndarray
-    ) -> tuple[np.ndarray, SMTStatistics | None]:
-        """The one-pass 4-thread kernel, with this executor's weight plan.
-
-        Operands outside the 8-bit contract take the chunked reference path
-        (the kernel's reduced operands cover the contract only).  Inside
-        it, K is padded with zero columns/rows to a multiple of 4 when it
-        needs it, and the weight plan is rebuilt only when the weight
-        values differ from the ones it was built for.
-        """
-        (x_lo, x_hi), (w_lo, w_hi) = _operand_range(x_q), _operand_range(w_q)
-        if x_lo < 0 or x_hi > 255 or w_lo < -128 or w_hi > 127:
-            x_t, w_t = split_into_threads(x_q, w_q, 4)
-            return _reference_multi_t(x_t, w_t, self.policy,
-                                      self.collect_stats, 256)
-        x_q, w_q = _narrowed(x_q, w_q)
-        if x_q.shape[1] != w_q.shape[0]:
-            raise ValueError("inner dimensions of X and W differ")
-        pad = -x_q.shape[1] % 4
-        if pad:
-            x_q = np.pad(x_q, ((0, 0), (0, pad)))
-            w_q = np.pad(w_q, ((0, pad), (0, 0)))
-        plan = self._weight_plan
-        if plan is None or not plan.matches(w_q, self.policy,
-                                            self.prune_blocks):
-            plan = self._weight_plan = _WeightPlan(
-                w_q, self.policy, self.prune_blocks)
-        return _fast_4t(x_q, plan, self.collect_stats)
-
     def _record_single_thread(self, x_q: np.ndarray, w_q: np.ndarray) -> None:
         stats = SMTStatistics()
         active = _count_active(x_q, w_q)
@@ -813,11 +778,10 @@ _PANEL = 512
 class _WeightPlan:
     """Everything the 4-thread kernel derives from one layer's weights.
 
-    Built from the narrowed ``(K, N)`` int8 weights (K a multiple of 4) and
-    reused while the weights stay the same (:meth:`matches` compares their
-    values, so a permuted or changed weight matrix gets a new plan).  Its
-    exactness bounds take the 8-bit activation maximum, 255, so a plan never
-    depends on the activations.  Holds
+    Built from the narrowed ``(K, N)`` int8 weights (K a multiple of 4)
+    before the pass over the activation rows.  Its exactness bounds take
+    the 8-bit activation maximum, 255, so a plan never depends on the
+    activations.  Holds
 
     * ``exact_groups``: exactly evaluable ``(K columns, float weights)``
       GEMM groups of the exact product, over whole thread slices;
@@ -834,9 +798,6 @@ class _WeightPlan:
 
     def __init__(self, w_q: np.ndarray, policy: PackingPolicy,
                  prune_blocks: bool):
-        self.weights = w_q
-        self.policy = policy
-        self.prune_blocks = prune_blocks
         k, self.n = w_q.shape
         self.kt = kt = k // 4
         w_t = w_q.reshape(4, kt, self.n)
@@ -889,13 +850,6 @@ class _WeightPlan:
         self.hist_b = np.bincount(
             (codes + offsets).ravel(), minlength=4 * kt * 64
         ).reshape(4, kt, 64)
-
-    def matches(self, w_q: np.ndarray, policy: PackingPolicy,
-                prune_blocks: bool) -> bool:
-        """Whether this plan was built for these weight values and settings."""
-        return (policy == self.policy and prune_blocks == self.prune_blocks
-                and w_q.shape == self.weights.shape
-                and np.array_equal(w_q, self.weights))
 
 
 def _left_values(
@@ -952,7 +906,11 @@ def _panel_gemms(acc: np.ndarray, start: int, lefts: np.ndarray,
 
 
 def _fast_4t(
-    x_q: np.ndarray, plan: _WeightPlan, collect_stats: bool
+    x_q: np.ndarray,
+    w_q: np.ndarray,
+    policy: PackingPolicy,
+    collect_stats: bool,
+    prune_blocks: bool,
 ) -> tuple[np.ndarray, SMTStatistics | None]:
     """Factorized 4-thread execution in one pass over the activation rows.
 
@@ -964,21 +922,36 @@ def _fast_4t(
     therefore turns each demand gate into a function of ``alpha`` alone, and
     the error into separable blocks ``(g(alpha) * L) @ ([beta == p] * R)``
     (:func:`_error_factors`, :func:`_pattern_blocks`).  The right sides
-    are stacked once per weight matrix (:class:`_WeightPlan`).
+    are stacked once, before the pass (:class:`_WeightPlan`).
 
-    ``x_q`` is C-contiguous uint8 with K a multiple of 4; thread ``t`` is
-    its ``t``-th quarter of columns.  The rows are processed in blocks of
-    :data:`_ROW_BLOCK_4T`, each transposed once to K-major.  The block's
-    exact GEMM runs on it, and every error block's left rows are written
-    into a one-byte stacked operand as a demand gate (:func:`_demand_gate`,
-    from the threads' nonzero masks) times a left value in uint8
-    arithmetic (:func:`_left_values`); both are converted to float and
-    multiplied in panels of :data:`_PANEL` columns (:func:`_panel_gemms`).
+    Operands outside the 8-bit contract take the chunked reference path
+    (the reduced operands below cover the contract only).  Inside it, K is
+    zero-padded to a multiple of 4 when it needs it, and thread ``t`` is
+    the ``t``-th quarter of the columns of the narrowed uint8 ``x_q``.
+    The rows are processed in blocks of :data:`_ROW_BLOCK_4T`, each
+    transposed once to K-major.  The block's exact GEMM runs on it, and
+    every error block's left rows are written into a one-byte stacked
+    operand as a demand gate (:func:`_demand_gate`, from the threads'
+    nonzero masks) times a left value in uint8 arithmetic
+    (:func:`_left_values`); both are converted to float and multiplied in
+    panels of :data:`_PANEL` columns (:func:`_panel_gemms`).
     Statistics are reconstructed exactly from per-K histograms of joint
     activation codes (:func:`_joint_codes`), contracted with the plan's
     weight histograms (see :func:`_reduced_tables`).
     """
     threads = 4
+    (x_lo, x_hi), (w_lo, w_hi) = _operand_range(x_q), _operand_range(w_q)
+    if x_lo < 0 or x_hi > 255 or w_lo < -128 or w_hi > 127:
+        x_t, w_t = split_into_threads(x_q, w_q, threads)
+        return _reference_multi_t(x_t, w_t, policy, collect_stats, 256)
+    x_q, w_q = _narrowed(x_q, w_q)
+    if x_q.shape[1] != w_q.shape[0]:
+        raise ValueError("inner dimensions of X and W differ")
+    pad = -x_q.shape[1] % threads
+    if pad:
+        x_q = np.pad(x_q, ((0, 0), (0, pad)))
+        w_q = np.pad(w_q, ((0, pad), (0, 0)))
+    plan = _WeightPlan(w_q, policy, prune_blocks)
     m = x_q.shape[0]
     kt, n = plan.kt, plan.n
     # Integer-valued float64 sums of exact GEMM results.
@@ -1001,7 +974,7 @@ def _fast_4t(
             _panel_gemms(exact, start, x_rows[cols], w_cast,
                          floats[w_cast.dtype])
         bits = (x_k != 0).view(np.uint8)                       # (4, Kt, b)
-        values = _left_values(x_k, plan.left_kinds, plan.policy.width_primary)
+        values = _left_values(x_k, plan.left_kinds, policy.width_primary)
         gates = {}
         for members, rights, signed in plan.groups:
             shape = (len(rights), len(x_block))
@@ -1040,7 +1013,7 @@ def _fast_4t(
     hist_beta = hist_b[0].reshape(kt, 4, 16).sum(axis=1)
 
     activity = _activity_tables()
-    reduced_tables = _reduced_tables(plan.policy)
+    reduced_tables = _reduced_tables(policy)
     stats.mac_total = threads * m * kt * n
     stats.mac_active = _contract(hist_alpha, activity["active"], hist_beta)
     stats.mac_collided = _contract(hist_alpha, activity["collided"], hist_beta)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import packing
 from repro.core.precision import (
     act_fits_4bit,
     reduce_act_to_4bit_msb,
@@ -55,25 +54,11 @@ class ReducedPrecisionEngine:
         x_eff = x_q
         w_eff = w_q
         if self.reduce_activations:
-            x_eff = _reduced_activations(x_q)
+            x_eff = np.where(act_fits_4bit(x_q), x_q, reduce_act_to_4bit_msb(x_q))
         if self.reduce_weights:
             w_eff = np.where(wgt_fits_4bit(w_q), w_q, reduce_wgt_to_4bit_msb(w_q))
         ctx.add_stat("macs", x_q.shape[0] * x_q.shape[1] * w_q.shape[1])
         return exact_int_matmul(x_eff, w_eff)
-
-
-def _reduced_activations(x_q: np.ndarray) -> np.ndarray:
-    """Activations reduced to 4 bits where they do not fit in 4 bits.
-
-    uint8 operands (what the quantized model feeds) take the in-place
-    uint8 arithmetic of :func:`packing._act_delta_uint8`: ``x + delta``
-    wraps modulo 256 back to the reduced value, without the clip and
-    intp table look-up of :func:`reduce_act_to_4bit_msb`.  Any other
-    storage keeps that look-up.
-    """
-    if x_q.dtype == np.uint8:
-        return x_q + packing._act_delta_uint8(x_q, True).view(np.uint8)
-    return np.where(act_fits_4bit(x_q), x_q, reduce_act_to_4bit_msb(x_q))
 
 
 def robustness_sweep(

@@ -431,7 +431,7 @@ def test_2t_large_k_max_magnitude_splits_thread_halves(monkeypatch, policy):
     assert seen[:2] == [np.float64, np.float64]
 
 
-# -- row blocks and the weight plan of the 4-thread path -----------------------------
+# -- row blocks of the 4-thread path -------------------------------------------------
 
 @pytest.mark.parametrize("prune_blocks", [True, False])
 @pytest.mark.parametrize("m", [2300, 4999])
@@ -452,34 +452,6 @@ def test_4t_many_rows_match_reference(m, k, policy, prune_blocks):
     w[rng.random((k, 6)) < 0.05] = 0
     _assert_matches_reference(x.astype(np.uint8), w.astype(np.int32), policy,
                               prune_blocks=prune_blocks)
-
-
-@pytest.mark.parametrize("prune_blocks", [True, False])
-def test_4t_weight_plan_follows_new_weights(prune_blocks):
-    """One executor, one weight buffer, changing values.
-
-    The buffer holds A, then a different B of the same shape, then A with
-    its K rows permuted, then A again: a plan keyed by the array's identity
-    or shape would serve stale weights.  Equal weights reuse the plan.
-    """
-    rng = new_rng(5)
-    x, a = make_quantized_pair(rng, m=300, k=40, n=12, act_sparsity=0.5,
-                               wgt_sparsity=0.1)
-    b = rng.integers(-127, 128, size=a.shape)
-    executor = NBSMTMatmul(4, "S+A", prune_blocks=prune_blocks)
-    w = np.empty_like(a)
-    for values in (a, b, a[new_rng(6).permutation(len(a))], a):
-        w[...] = values
-        executor.reset_stats()
-        out = executor.matmul(x, w)
-        reference = NBSMTMatmul(4, "S+A", force_reference=True)
-        assert np.array_equal(out, reference.matmul(x, values))
-        for field in _STATS_FIELDS:
-            assert (getattr(executor.stats, field)
-                    == getattr(reference.stats, field)), field
-    plan = executor._weight_plan
-    executor.matmul(x, a)
-    assert executor._weight_plan is plan
 
 
 # -- operand storage dtypes ----------------------------------------------------

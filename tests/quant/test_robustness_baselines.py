@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.precision import act_fits_4bit, reduce_act_to_4bit_msb
 from repro.quant.baselines import (
     ACIQEngine,
     LBQEngine,
@@ -41,31 +40,6 @@ def test_a4w8_reduces_only_wide_activations(pair):
     exact_if_narrow = engine.matmul(narrow_only, w, LayerContext("l"))
     assert np.array_equal(exact_if_narrow, narrow_only @ w)
     assert not np.array_equal(out, x @ w)
-
-
-def _a4_reduction(x):
-    """Activations as the A4 points reduce them: an identity weight matrix
-    makes the engine's output the reduced activations themselves."""
-    w = np.eye(x.shape[1], dtype=np.int32)
-    return ReducedPrecisionEngine.from_point("A4W8").matmul(
-        x, w, LayerContext("l"))
-
-
-def test_a4_reduces_every_uint8_activation_like_the_lookup():
-    x = np.arange(256, dtype=np.uint8).reshape(1, 256)
-    expected = np.where(act_fits_4bit(x), x, reduce_act_to_4bit_msb(x))
-    assert np.array_equal(_a4_reduction(x), expected)
-
-
-def test_a4_reduces_wider_activation_storage_like_the_lookup():
-    """int64 operands, including values past the 8-bit range, keep the
-    clip-and-look-up reduction; in range they match the uint8 path."""
-    x = np.concatenate([np.arange(256), [256, 300, 1000]]).reshape(1, -1)
-    expected = np.where(act_fits_4bit(x), x, reduce_act_to_4bit_msb(x))
-    out = _a4_reduction(x)
-    assert np.array_equal(out, expected)
-    assert np.array_equal(out[:, :256],
-                          _a4_reduction(x[:, :256].astype(np.uint8)))
 
 
 def test_a4w4_error_at_least_a4w8(pair):
