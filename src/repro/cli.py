@@ -363,26 +363,18 @@ def _silence_rule(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.cluster.documents import DocumentStore
-    from repro.telemetry.alerts import SILENCE_DOCUMENT
+    from repro.telemetry.alerts import merge_silences
 
     directory = args.dir
     nested = os.path.join(directory, "history")
     if os.path.isdir(nested):
         directory = nested
-    store = DocumentStore.for_directory(directory)
-    document = store.get(SILENCE_DOCUMENT) or {}
-    silences = document.get("silences")
-    if not isinstance(silences, dict):
-        silences = {}
     deadline = _time.time() + max(0.0, args.for_s)
-    previous = silences.get(args.silence)
-    silences[args.silence] = max(
-        float(previous) if isinstance(previous, (int, float)) else 0.0,
-        deadline,
+    silences = merge_silences(
+        DocumentStore.for_directory(directory), {args.silence: deadline}
     )
-    store.put(SILENCE_DOCUMENT, {"silences": silences})
     until = _time.strftime(
-        "%H:%M:%S", _time.localtime(silences[args.silence])
+        "%H:%M:%S", _time.localtime(silences.get(args.silence, deadline))
     )
     print(
         f"alerts: silenced rule {args.silence!r} for {args.for_s:g}s "

@@ -6,7 +6,9 @@ directory (append-only, one JSON document per line, atomic size-based
 rotation to a single ``.old`` generation), and a :class:`SpoolFollower`
 tails every file in the directory into one merged stream.  The telemetry
 bus, the sharded metrics spool and the sweep progress ticker are all
-thin clients of this module.
+thin clients of this module.  :class:`RingStore` turns a spool directory
+into a bounded, restart-surviving event history (the alert history and
+the trace ring).
 
 **Ordering across clock skew.**  Events carry a wall-clock ``at`` stamp
 (they cross processes and machines, so monotonic clocks would not
@@ -28,6 +30,8 @@ import io
 import json
 import os
 import threading
+
+from repro.cluster.documents import pid_alive
 
 #: Rotate a spool file once it grows past this many bytes (one rotated
 #: ``.old`` generation is kept so followers can finish reading it).
@@ -363,6 +367,11 @@ class SpoolFollower:
                 self._corrupt_by_file[name] = self._corrupt_by_file.get(name, 0) + 1
                 continue
 
+    @property
+    def files(self) -> list[str]:
+        """Paths of the spool files read so far (``.old`` generations too)."""
+        return list(self._offsets)
+
     def stats(self) -> dict:
         """Corruption tally: total skipped lines and a per-file breakdown."""
         return {
@@ -423,3 +432,89 @@ class SpoolFollower:
             )
         ordered.sort(key=lambda record: record[:4])
         return [record[4] for record in ordered]
+
+
+def _writer_pid(basename: str) -> int | None:
+    """The pid baked into a ``<role>-<pid>.jsonl`` spool basename."""
+    stem = basename.removesuffix(".jsonl")
+    _, _, pid_text = stem.rpartition("-")
+    try:
+        return int(pid_text)
+    except ValueError:
+        return None
+
+
+class RingStore:
+    """Ring-file persistence of selected event types in one directory.
+
+    One :class:`SpoolWriter` per process appends the selected event
+    types into ``directory`` with a small rotation size -- the "ring":
+    disk usage is bounded, the newest window survives.
+
+    :meth:`load` replays everything still in the ring (merged across
+    writers/restarts in skew-proof spool order) and then *compacts*:
+    files left by dead writers are folded into this process's fresh ring
+    file and deleted, so restarts do not accumulate files forever.
+    Files of live writers (peer shards sharing the directory) are left
+    alone.
+    """
+
+    def __init__(self, directory: str, role: str, event_types,
+                 rotate_bytes: int):
+        self.directory = str(directory)
+        self.event_types = frozenset(event_types)
+        self._writer = SpoolWriter(self.directory, role, rotate_bytes)
+        self._lock = threading.Lock()
+
+    def record(self, event: Event) -> None:
+        """Bus-subscriber entry point: persist the selected event types."""
+        if event.type not in self.event_types:
+            return
+        try:
+            self._writer.append(event)
+        except (OSError, ValueError):  # pragma: no cover - dir torn down
+            pass
+
+    def load(self, compact: bool = True) -> list[Event]:
+        """Replay the ring (merged, oldest first); optionally compact it.
+
+        Compaction folds files abandoned by dead writers into this
+        process's own ring file (bounded by its rotation) and unlinks
+        them; live peers' files (shards sharing the directory) are left
+        alone -- their events replay but are never re-appended, so the
+        next restart sees each event exactly once.
+        """
+        with self._lock:
+            own = os.path.basename(self._writer.path)
+            follower = SpoolFollower(self.directory)
+            events = follower.poll()
+            if not compact:
+                return events
+            dead_pids: set[int] = set()
+            for path in follower.files:
+                base = os.path.basename(path).removesuffix(".old")
+                if base == own:
+                    continue
+                pid = _writer_pid(base)
+                if pid is None or pid_alive(pid):
+                    continue
+                try:
+                    os.unlink(path)
+                except OSError:
+                    continue
+                dead_pids.add(pid)
+            # Re-append the dead writers' window under our own writer so
+            # the next restart finds one ring, not a file per past process.
+            for event in events:
+                if (
+                    event.source.get("pid") in dead_pids
+                    and event.type in self.event_types
+                ):
+                    self._writer.append(event)
+            return events
+
+    def stats(self) -> dict:
+        return {"writer": self._writer.stats()}
+
+    def close(self) -> None:
+        self._writer.close()

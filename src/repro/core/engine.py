@@ -39,7 +39,8 @@ class NBSMTEngine:
         Use the chunked reference executor even for the fast-path thread
         counts.
     fast4t_impl:
-        Forwarded to :class:`NBSMTMatmul` (``"stacked"`` or ``"legacy"``).
+        Forwarded to :class:`NBSMTMatmul` (``"stacked"``, the only value
+        accepted).
     prune_blocks:
         Forwarded to :class:`NBSMTMatmul` (stack each 4-thread error block
         only over the K rows where its weight pattern occurs; bit-exact, on

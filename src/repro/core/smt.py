@@ -8,7 +8,8 @@ including the noise introduced when thread collisions force reduced-precision
 products, together with per-layer statistics (collision breakdown,
 utilization, MSE versus the error-free result).
 
-Three implementations are provided and cross-checked by the test suite:
+Two implementations are provided and cross-checked by the test suite
+(and against the per-PE simulator of :mod:`repro.systolic`):
 
 * a chunked **reference** path that materializes the per-position activity
   tensors and handles any thread count;
@@ -24,9 +25,7 @@ Three implementations are provided and cross-checked by the test suite:
   in cache-sized blocks, each block's exact GEMM, reduced operands (uint8
   arithmetic, :func:`packing._act_delta_uint8`) and error GEMMs issued
   together; everything that depends on the weights alone is built once
-  per call, before the pass (the 4-thread kernel's weight plan);
-* the seed's original 4-thread factorized implementation
-  (:func:`_fast_4t_legacy`), kept as a cross-check oracle.
+  per call, before the pass (the 4-thread kernel's weight plan).
 
 The factorized paths also reconstruct the *exact* statistics (including the
 per-position reduction count) without materializing activity tensors: every
@@ -39,13 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
 from repro.core import packing
 from repro.core.policies import PackingPolicy, get_policy
-from repro.core.precision import act_fits_4bit, wgt_fits_4bit
+from repro.core.precision import wgt_fits_4bit
 from repro.quant.engine import exact_int_matmul
 
 #: Largest product-sum magnitude exactly representable by a float32 GEMM.
@@ -278,10 +276,8 @@ class NBSMTMatmul:
     chunk_rows:
         Row chunk size of the reference implementation.
     fast4t_impl:
-        ``"stacked"`` (default) selects the one-pass stacked-GEMM 4-thread
-        kernel; ``"legacy"`` selects the seed's original factorized
-        implementation, kept as a cross-check oracle (its ``mac_reduced``
-        counter is a collision-count proxy, not the exact reduction count).
+        The 4-thread kernel; ``"stacked"`` (the one-pass stacked-GEMM
+        kernel) is the only value accepted.
     prune_blocks:
         Row selection in the stacked 4-thread path: each error block is
         stacked only over the K rows where its weight-side activity pattern
@@ -300,8 +296,8 @@ class NBSMTMatmul:
     ):
         if threads not in (1, 2, 4):
             raise ValueError("NB-SMT supports 1, 2 or 4 threads")
-        if fast4t_impl not in ("stacked", "legacy"):
-            raise ValueError("fast4t_impl must be 'stacked' or 'legacy'")
+        if fast4t_impl != "stacked":
+            raise ValueError("fast4t_impl must be 'stacked'")
         self.threads = threads
         self.policy = get_policy(policy) if isinstance(policy, str) else policy
         self.collect_stats = collect_stats
@@ -347,10 +343,6 @@ class NBSMTMatmul:
             )
         elif self.threads == 2:
             out, stats = _fast_2t(x_q, w_q, self.policy, self.collect_stats)
-        elif self.fast4t_impl == "legacy":
-            x_t, w_t = split_into_threads(x_q, w_q, self.threads)
-            out, stats = _fast_4t_legacy(
-                x_t, w_t, self.policy, self.collect_stats)
         else:
             out, stats = _fast_4t(x_q, w_q, self.policy, self.collect_stats,
                                   self.prune_blocks)
@@ -564,23 +556,20 @@ def _fast_2t(
 
 @lru_cache(maxsize=None)
 def _value_luts(width_primary: bool) -> dict[str, np.ndarray]:
-    """Per-operand-value lookup tables of the 4-thread weight-side factors.
+    """Per-weight-value lookup tables of the 4-thread weight-side factors.
 
-    Weight tables are indexed by ``w + 128`` (``x4``, the 4b-4b
-    activation the legacy path looks up, by ``x``).  Everything derives
-    from the delta tables in :mod:`repro.core.packing` (the single source
-    of the width-gated reduction semantics): the effective 4b-4b operand is
-    ``value + delta`` and an operand changed iff its delta is nonzero.
+    The tables are indexed by ``w + 128``.  Everything derives from the
+    weight delta table in :mod:`repro.core.packing` (the single source of
+    the width-gated reduction semantics): the effective 4b-4b weight is
+    ``w + dw`` and a weight changed iff its delta is nonzero.
     ``secw`` is the weight an ``aW`` pair collision still reduces (the
     partner does not fit in 4 bits); ``wcls`` is the statistics class
     ``changed | fits << 1`` (see :func:`_reduced_tables`).
     """
     wgt = np.arange(-128, 128, dtype=np.int64)
-    dx = packing._DELTA_LUTS[("act", width_primary)].astype(np.int64)
     dw = packing._DELTA_LUTS[("wgt", width_primary)].astype(np.int64)
     wfits = wgt_fits_4bit(wgt)
     return {
-        "x4": np.arange(256) + dx,
         "w": wgt, "dw": dw, "w4": wgt + dw, "secw": wgt * ~wfits,
         "wcls": (dw != 0) + 2 * wfits,
     }
@@ -1170,182 +1159,4 @@ def _reference_multi_t(
         stats.sum_sq_error = float(((out - exact).astype(np.float64) ** 2).sum())
         stats.sum_sq_exact = float((exact.astype(np.float64) ** 2).sum())
         stats.outputs = int(out.size)
-    return out, stats
-
-
-# ---------------------------------------------------------------------------
-# Legacy factorized 4-thread path (the seed implementation), kept for
-# cross-validation.
-# ---------------------------------------------------------------------------
-
-def _thread_error_factors(
-    x_self: np.ndarray, w_self: np.ndarray, policy: PackingPolicy
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Separable factors of the pairwise-collision error term of one thread.
-
-    Returns a list of ``(left, right)`` pairs such that the error a thread
-    contributes at position ``(m, k, n)`` when it collides pairwise equals
-    ``sum_i left_i[m, k] * right_i[k, n]``.
-    """
-    if policy.reduce == "act":
-        delta = packing.act_reduction_delta(x_self, policy).astype(np.float64)
-        right = w_self.astype(np.float64)
-        if policy.width_secondary:
-            right = right * (~wgt_fits_4bit(w_self))
-        return [(delta, right)]
-    delta = packing.wgt_reduction_delta(w_self, policy).astype(np.float64)
-    left = x_self.astype(np.float64)
-    if policy.width_secondary:
-        left = left * (~act_fits_4bit(x_self))
-    return [(left, delta)]
-
-
-def _thread_manyway_factors(
-    x_self: np.ndarray, w_self: np.ndarray, policy: PackingPolicy
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Separable factors of the 3-/4-way-collision error term of one thread.
-
-    The 4b-4b product minus the exact product is the difference of two
-    separable terms: ``x4 (x) w4 - x (x) w``.
-    """
-    luts = _value_luts(policy.width_primary)
-    x4 = luts["x4"].take(np.clip(x_self, 0, 255))
-    w4 = luts["w4"].take(np.clip(w_self, -128, 127) + 128)
-    return [
-        (x4.astype(np.float64), w4.astype(np.float64)),
-        (-x_self.astype(np.float64), w_self.astype(np.float64)),
-    ]
-
-
-def _demand_monomials(others: list[int]) -> tuple[list, list]:
-    """Inclusion-exclusion expansions of the other-thread demand indicators.
-
-    For the three "other" threads of a 4-threaded PE, returns the monomial
-    expansions of ``1(exactly one other active)`` and ``1(two or more others
-    active)`` as lists of ``(coefficient, subset_of_other_threads)`` terms.
-    Each monomial ``prod_{s in subset} u_s`` is separable because ``u_s``
-    factors into an activation-side and a weight-side mask.
-    """
-    s1, s2, s3 = others
-    exactly_one = [
-        (1.0, (s1,)), (1.0, (s2,)), (1.0, (s3,)),
-        (-2.0, (s1, s2)), (-2.0, (s1, s3)), (-2.0, (s2, s3)),
-        (3.0, (s1, s2, s3)),
-    ]
-    two_or_more = [
-        (1.0, (s1, s2)), (1.0, (s1, s3)), (1.0, (s2, s3)),
-        (-2.0, (s1, s2, s3)),
-    ]
-    return exactly_one, two_or_more
-
-
-def _fast_4t_legacy(
-    x_t: np.ndarray,
-    w_t: np.ndarray,
-    policy: PackingPolicy,
-    collect_stats: bool,
-) -> tuple[np.ndarray, SMTStatistics | None]:
-    """The seed's factorized 4-thread execution (one GEMM per monomial).
-
-    Bit-identical outputs to :func:`_fast_4t` by an independent derivation
-    (inclusion-exclusion over thread subsets, ~60 separate float64 GEMMs),
-    which is why the property tests keep it as a cross-check oracle.  Its
-    ``mac_reduced`` counter is the collision-count proxy rather than the
-    exact reduction count.
-    """
-    threads = 4
-    xs = [x_t[t].astype(np.int64) for t in range(threads)]
-    ws = [w_t[t].astype(np.int64) for t in range(threads)]
-
-    exact = exact_int_matmul(
-        np.concatenate(xs, axis=1), np.concatenate(ws, axis=0)
-    )
-
-    act_masks = [x != 0 for x in xs]
-    wgt_masks = [w != 0 for w in ws]
-
-    error = np.zeros_like(exact, dtype=np.float64)
-
-    if not policy.sparsity:
-        for t in range(threads):
-            for left, right in _thread_manyway_factors(xs[t], ws[t], policy):
-                error += left @ right
-    else:
-        for t in range(threads):
-            others = [s for s in range(threads) if s != t]
-            exactly_one, two_or_more = _demand_monomials(others)
-            pair_factors = _thread_error_factors(xs[t], ws[t], policy)
-            many_factors = _thread_manyway_factors(xs[t], ws[t], policy)
-            for coeff, subset in exactly_one:
-                act_gate = act_masks[t].copy()
-                wgt_gate = wgt_masks[t].copy()
-                for s in subset:
-                    act_gate = act_gate & act_masks[s]
-                    wgt_gate = wgt_gate & wgt_masks[s]
-                for left, right in pair_factors:
-                    error += coeff * ((act_gate * left) @ (wgt_gate * right))
-            for coeff, subset in two_or_more:
-                act_gate = act_masks[t].copy()
-                wgt_gate = wgt_masks[t].copy()
-                for s in subset:
-                    act_gate = act_gate & act_masks[s]
-                    wgt_gate = wgt_gate & wgt_masks[s]
-                for left, right in many_factors:
-                    error += coeff * ((act_gate * left) @ (wgt_gate * right))
-
-    out = exact + np.rint(error).astype(np.int64)
-    if not collect_stats:
-        return out, None
-
-    stats = SMTStatistics()
-    m, kt = xs[0].shape
-    n = ws[0].shape[1]
-
-    def _pair_count(act_gate: np.ndarray, wgt_gate: np.ndarray) -> int:
-        return int(
-            act_gate.sum(axis=0).astype(np.int64)
-            @ wgt_gate.sum(axis=1).astype(np.int64)
-        )
-
-    active_counts = [_pair_count(act_masks[t], wgt_masks[t]) for t in range(threads)]
-
-    slots_active = 0
-    for size in range(1, threads + 1):
-        sign = (-1) ** (size + 1)
-        for subset in combinations(range(threads), size):
-            act_gate = act_masks[subset[0]]
-            wgt_gate = wgt_masks[subset[0]]
-            for s in subset[1:]:
-                act_gate = act_gate & act_masks[s]
-                wgt_gate = wgt_gate & wgt_masks[s]
-            slots_active += sign * _pair_count(act_gate, wgt_gate)
-
-    collided = 0
-    for t in range(threads):
-        others = [s for s in range(threads) if s != t]
-        alone = 0
-        for size in range(0, len(others) + 1):
-            sign = (-1) ** size
-            for subset in combinations(others, size):
-                act_gate = act_masks[t]
-                wgt_gate = wgt_masks[t]
-                for s in subset:
-                    act_gate = act_gate & act_masks[s]
-                    wgt_gate = wgt_gate & wgt_masks[s]
-                alone += sign * _pair_count(act_gate, wgt_gate)
-        collided += active_counts[t] - alone
-
-    stats.mac_total = threads * m * kt * n
-    stats.mac_active = int(sum(active_counts))
-    stats.mac_collided = int(collided)
-    # The legacy path reports collisions as the reduction-count proxy; the
-    # optimized path and the reference executor report the exact count.
-    stats.mac_reduced = int(collided)
-    stats.slots_total = m * kt * n
-    stats.slots_active = int(slots_active)
-    stats.act_values = int(sum(x.size for x in xs))
-    stats.act_nonzero = int(sum(mask.sum() for mask in act_masks))
-    stats.sum_sq_error = float(((out - exact).astype(np.float64) ** 2).sum())
-    stats.sum_sq_exact = float((exact.astype(np.float64) ** 2).sum())
-    stats.outputs = int(exact.size)
     return out, stats

@@ -11,7 +11,8 @@ recent p99 latency versus the endpoint's budget.  Sustained overload
 flapping:
 
 * separate degrade/recover pressure thresholds (a dead band in between
-  advances neither timer);
+  advances neither timer; the streak bookkeeping is the shared
+  :class:`~repro.utils.hysteresis.Hysteresis`, as for alert rules);
 * the triggering condition must hold continuously for
   ``degrade_after_s`` / ``recover_after_s`` (recovery is deliberately the
   slower of the two);
@@ -38,6 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.telemetry import bus as telemetry_bus
+from repro.utils.hysteresis import Hysteresis
 
 
 @dataclass(frozen=True)
@@ -125,9 +127,10 @@ class QoSController:
         self._lock = threading.Lock()
         self._level = 0
         self._held = False
-        self._overload_since: float | None = None
-        self._calm_since: float | None = None
-        self._last_transition_at = float("-inf")
+        self._streaks = Hysteresis(
+            self.config.degrade_after_s, self.config.recover_after_s,
+            self.config.cooldown_s,
+        )
         self.transitions = 0
         self.recent_transitions: deque[Transition] = deque(maxlen=history)
 
@@ -197,37 +200,16 @@ class QoSController:
             if self._held:
                 return None
             reason = self._overloaded(signal)
-            if reason is not None:
-                self._calm_since = None
-                if self._overload_since is None:
-                    self._overload_since = now
-            elif self._calm(signal):
-                self._overload_since = None
-                if self._calm_since is None:
-                    self._calm_since = now
-            else:
-                # Dead band: neither streak may accumulate across it.
-                self._overload_since = None
-                self._calm_since = None
-                return None
-
-            config = self.config
-            if now - self._last_transition_at < config.cooldown_s:
-                return None
-            if (
-                reason is not None
-                and self._level < self.num_levels - 1
-                and now - self._overload_since >= config.degrade_after_s
-            ):
+            ripe = self._streaks.observe(
+                reason is not None,
+                reason is None and self._calm(signal),
+                now,
+            )
+            if ripe == "breach" and self._level < self.num_levels - 1:
                 return self._transition(
                     now, self._level + 1, reason, signal.pressure
                 )
-            if (
-                reason is None
-                and self._calm_since is not None
-                and self._level > 0
-                and now - self._calm_since >= config.recover_after_s
-            ):
+            if ripe == "calm" and self._level > 0:
                 return self._transition(
                     now,
                     self._level - 1,
@@ -247,9 +229,7 @@ class QoSController:
             pressure=pressure,
         )
         self._level = to_level
-        self._last_transition_at = now
-        self._overload_since = None
-        self._calm_since = None
+        self._streaks.transitioned(now)
         self.transitions += 1
         self.recent_transitions.append(transition)
         return transition
@@ -274,8 +254,7 @@ class QoSController:
             if hold is not None:
                 self._held = bool(hold)
             if level == self._level:
-                self._overload_since = None
-                self._calm_since = None
+                self._streaks.reset()
                 return None
             return self._transition(now, level, "forced by operator", 0.0)
 
@@ -283,8 +262,7 @@ class QoSController:
         """Resume automatic walking after a held :meth:`force`."""
         with self._lock:
             self._held = False
-            self._overload_since = None
-            self._calm_since = None
+            self._streaks.reset()
 
     def resync(self, level: int) -> None:
         """Reset to the level actually applied (no transition recorded).
@@ -295,8 +273,7 @@ class QoSController:
         """
         with self._lock:
             self._level = max(0, min(self.num_levels - 1, int(level)))
-            self._overload_since = None
-            self._calm_since = None
+            self._streaks.reset()
 
     def snapshot(self) -> dict:
         with self._lock:

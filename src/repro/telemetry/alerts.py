@@ -7,9 +7,9 @@ The bus (PR 5) streams every health signal -- ``endpoint_health``,
 * :class:`AlertRule` -- one declarative rule: threshold + hysteresis
   (separate fire/clear thresholds with a dead band in between) + minimum
   duration + cooldown, evaluated per **dedup key** (e.g. per endpoint).
-  The state machine deliberately mirrors the QoS controller's
-  dead-band/sustain idiom (:mod:`repro.serve.qos`), including the
-  injectable clock that makes tests deterministic.
+  The streak bookkeeping is :class:`~repro.utils.hysteresis.Hysteresis`,
+  the QoS controller's (:mod:`repro.serve.qos`), and the engine's clock
+  is injectable, which makes tests deterministic.
 * :class:`AlertEngine` -- consumes bus events, walks each ``(rule, key)``
   state machine, and publishes the full alert lifecycle back onto the
   bus as ``alert_fired`` / ``alert_resolved`` events -- so every existing
@@ -21,11 +21,9 @@ The bus (PR 5) streams every health signal -- ``endpoint_health``,
   publishing path; drops-and-counts when the queue overflows).
 * :class:`AlertHistoryStore` -- ring-file persistence of
   ``endpoint_health`` / ``rung_transition`` / alert events (a
-  size-rotated :class:`~repro.cluster.spool.SpoolWriter`) plus a small
-  state document (:class:`~repro.cluster.documents.DocumentStore`), so
-  post-restart timelines and alert history survive.  :meth:`load`
-  replays the surviving window and compacts dead writers' files back
-  into the live ring.
+  :class:`~repro.cluster.spool.RingStore`) plus the state and silence
+  documents (:class:`~repro.cluster.documents.DocumentStore`), so
+  post-restart timelines and alert history survive.
 
 Synthetic probes (self-test requests per endpoint) are scheduled by the
 server (:mod:`repro.serve.server`); their ``probe_result`` events feed
@@ -35,7 +33,6 @@ the same rules via :func:`probe_rule`.
 from __future__ import annotations
 
 import json
-import os
 import random
 import threading
 import time
@@ -44,8 +41,9 @@ import urllib.request
 from collections import deque
 from dataclasses import dataclass
 
-from repro.cluster.documents import DocumentStore, pid_alive
-from repro.telemetry.bus import Event, SpoolFollower, SpoolWriter
+from repro.cluster.documents import DocumentStore
+from repro.cluster.spool import Event, RingStore
+from repro.utils.hysteresis import Hysteresis
 
 #: Alert lifecycle event types (published on the bus; the engine never
 #: evaluates rules over them -- see :meth:`AlertEngine.consume`).
@@ -252,64 +250,30 @@ class SinkRoute:
 
 
 class _RuleState:
-    """Per ``(rule, key)`` hysteresis state (the QoS sustain/cooldown idiom)."""
+    """Per ``(rule, key)`` alert state over the shared :class:`Hysteresis`."""
 
-    __slots__ = (
-        "breach_since", "clear_since", "firing", "fired_at",
-        "last_transition_at", "last_value", "fired_count",
-    )
+    __slots__ = ("streaks", "firing", "fired_at", "fired_count")
 
-    def __init__(self):
-        self.breach_since: float | None = None
-        self.clear_since: float | None = None
+    def __init__(self, rule: AlertRule):
+        self.streaks = Hysteresis(rule.for_s, rule.clear_for_s, rule.cooldown_s)
         self.firing = False
         self.fired_at: float | None = None
-        self.last_transition_at = float("-inf")
-        self.last_value: float | None = None
         self.fired_count = 0
 
     def observe(self, rule: AlertRule, value: float, now: float) -> str | None:
         """Fold one value in; returns ``"fire"`` / ``"resolve"`` / ``None``."""
-        self.last_value = value
-        if rule.breached(value):
-            self.clear_since = None
-            if self.breach_since is None:
-                self.breach_since = now
-        elif rule.cleared(value):
-            self.breach_since = None
-            if self.clear_since is None:
-                self.clear_since = now
-        else:
-            # Dead band: neither streak may accumulate across it.
-            self.breach_since = None
-            self.clear_since = None
-            return None
-        if now - self.last_transition_at < rule.cooldown_s:
-            return None
-        if (
-            not self.firing
-            and self.breach_since is not None
-            and now - self.breach_since >= rule.for_s
-        ):
-            self._transition(now, firing=True)
-            return "fire"
-        if (
-            self.firing
-            and self.clear_since is not None
-            and now - self.clear_since >= rule.clear_for_s
-        ):
-            self._transition(now, firing=False)
+        ripe = self.streaks.observe(
+            rule.breached(value), rule.cleared(value), now
+        )
+        if ripe == ("calm" if self.firing else "breach"):
+            self.streaks.transitioned(now)
+            self.firing = not self.firing
+            if self.firing:
+                self.fired_at = now
+                self.fired_count += 1
+                return "fire"
             return "resolve"
         return None
-
-    def _transition(self, now: float, firing: bool) -> None:
-        self.firing = firing
-        self.last_transition_at = now
-        self.breach_since = None
-        self.clear_since = None
-        if firing:
-            self.fired_at = now
-            self.fired_count += 1
 
 
 def default_rules() -> list[AlertRule]:
@@ -500,7 +464,9 @@ class AlertEngine:
                 if value is None:
                     continue
                 key = rule.key_of(event)
-                state = self._states.setdefault((rule.name, key), _RuleState())
+                state = self._states.get((rule.name, key))
+                if state is None:
+                    state = self._states[(rule.name, key)] = _RuleState(rule)
                 action = state.observe(rule, value, now)
                 if action is None:
                     continue
@@ -783,97 +749,54 @@ class WebhookSink:
             thread.join(timeout=timeout)
 
 
-class AlertHistoryStore:
-    """Ring-file persistence for health/alert events + engine state.
+def read_silences(documents: DocumentStore) -> dict[str, float]:
+    """Unexpired silence windows from the shared silence document."""
+    try:
+        document = documents.get(SILENCE_DOCUMENT)
+    except (OSError, ValueError):
+        return {}
+    silences = (document or {}).get("silences")
+    if not isinstance(silences, dict):
+        return {}
+    now = time.time()
+    result = {}
+    for rule, deadline in silences.items():
+        value = _as_float(deadline)
+        if value is not None and value > now:
+            result[str(rule)] = value
+    return result
 
-    One :class:`SpoolWriter` per process appends the selected event
-    types into ``directory`` with a small rotation size -- the "ring":
-    disk usage is bounded, the newest window survives.  A tiny state
-    document rides alongside (cumulative fire/resolve counters).
 
-    :meth:`load` replays everything still in the ring (merged across
-    writers/restarts in skew-proof spool order) and then *compacts*:
-    files left by dead writers are folded into this process's fresh ring
-    file and deleted, so restarts do not accumulate files forever.
-    Files of live writers (peer shards sharing the directory) are left
-    alone.
+def merge_silences(documents: DocumentStore, silences: dict) -> dict[str, float]:
+    """Merge silence windows into the shared document; returns the result.
+
+    Merge (the later deadline wins) rather than overwrite: the live
+    engine and a `repro.cli alerts --silence` process write
+    concurrently, and neither may shorten a window the other extended.
+    """
+    merged = read_silences(documents)
+    now = time.time()
+    for rule, deadline in silences.items():
+        deadline = float(deadline)
+        if deadline > now:
+            merged[str(rule)] = max(merged.get(str(rule), 0.0), deadline)
+    documents.put(SILENCE_DOCUMENT, {"silences": merged})
+    return merged
+
+
+class AlertHistoryStore(RingStore):
+    """The alert history ring plus the engine's state and silence documents.
+
+    A :class:`~repro.cluster.spool.RingStore` of ``endpoint_health`` /
+    ``rung_transition`` / probe / alert events, so post-restart timelines
+    and alert history survive, with two small documents alongside: the
+    cumulative fire/resolve counters and the shared silence windows.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        *,
-        role: str = "history",
-        rotate_bytes: int = HISTORY_ROTATE_BYTES,
-        event_types=HISTORY_EVENT_TYPES,
-        budget=None,
-    ):
-        self.directory = str(directory)
-        self.event_types = frozenset(event_types)
-        self._writer = SpoolWriter(
-            self.directory, role=role, rotate_bytes=rotate_bytes, budget=budget
-        )
+    def __init__(self, directory: str):
+        super().__init__(directory, "history", HISTORY_EVENT_TYPES,
+                         HISTORY_ROTATE_BYTES)
         self._documents = DocumentStore.for_directory(self.directory)
-        self._lock = threading.Lock()
-
-    # -- recording ---------------------------------------------------------
-    def record(self, event: Event) -> None:
-        """Bus-subscriber entry point: persist the selected event types."""
-        if event.type not in self.event_types:
-            return
-        try:
-            self._writer.append(event)
-        except (OSError, ValueError):  # pragma: no cover - dir torn down
-            pass
-
-    # -- replay ------------------------------------------------------------
-    def load(self, compact: bool = True) -> list[Event]:
-        """Replay the ring (merged, oldest first); optionally compact it.
-
-        Compaction folds files abandoned by dead writers into this
-        process's own ring file (bounded by its rotation) and unlinks
-        them; live peers' files (shards sharing the directory) are left
-        alone -- their events replay but are never re-appended, so the
-        next restart sees each event exactly once.
-        """
-        with self._lock:
-            own = os.path.basename(self._writer.path)
-            follower = SpoolFollower(self.directory)
-            events = follower.poll()
-            if not compact:
-                return events
-            dead_pids: set[int] = set()
-            for path in list(follower._offsets):
-                base = os.path.basename(path).removesuffix(".old")
-                if base == own:
-                    continue
-                pid = self._writer_pid(base)
-                if pid is None or pid_alive(pid):
-                    continue
-                try:
-                    os.unlink(path)
-                except OSError:
-                    continue
-                dead_pids.add(pid)
-            # Re-append the dead writers' window under our own writer so
-            # the next restart finds one ring, not a file per past process.
-            for event in events:
-                if (
-                    event.source.get("pid") in dead_pids
-                    and event.type in self.event_types
-                ):
-                    self._writer.append(event)
-            return events
-
-    @staticmethod
-    def _writer_pid(basename: str) -> int | None:
-        """The pid baked into a ``<role>-<pid>.jsonl`` spool basename."""
-        stem = basename.removesuffix(".jsonl")
-        _, _, pid_text = stem.rpartition("-")
-        try:
-            return int(pid_text)
-        except ValueError:
-            return None
 
     # -- state document ----------------------------------------------------
     def save_state(self, document: dict) -> None:
@@ -887,42 +810,11 @@ class AlertHistoryStore:
 
     # -- silence document --------------------------------------------------
     def save_silences(self, silences: dict) -> None:
-        """Persist silence windows, merged with what is already on disk.
-
-        Merge (max deadline wins) rather than overwrite: the live engine
-        and a `repro.cli alerts --silence` process write concurrently,
-        and neither may shorten a window the other just extended.
-        """
-        merged = self.load_silences()
-        now = time.time()
-        for rule, deadline in silences.items():
-            deadline = float(deadline)
-            if deadline > now:
-                merged[str(rule)] = max(merged.get(str(rule), 0.0), deadline)
+        """Persist silence windows (see :func:`merge_silences`)."""
         try:
-            self._documents.put(SILENCE_DOCUMENT, {"silences": merged})
+            merge_silences(self._documents, silences)
         except OSError:  # pragma: no cover - dir torn down
             pass
 
     def load_silences(self) -> dict[str, float]:
-        """Unexpired silence windows from the shared document."""
-        try:
-            document = self._documents.get(SILENCE_DOCUMENT)
-        except (OSError, ValueError):
-            return {}
-        silences = (document or {}).get("silences")
-        if not isinstance(silences, dict):
-            return {}
-        now = time.time()
-        result = {}
-        for rule, deadline in silences.items():
-            value = _as_float(deadline)
-            if value is not None and value > now:
-                result[str(rule)] = value
-        return result
-
-    def stats(self) -> dict:
-        return {"writer": self._writer.stats()}
-
-    def close(self) -> None:
-        self._writer.close()
+        return read_silences(self._documents)

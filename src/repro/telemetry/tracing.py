@@ -19,8 +19,8 @@ out to be interesting (budget breach, expiry, shed, error) -- the
 *exemplar* policy, so the p99 meter always has concrete slow traces
 behind it.
 
-:class:`TraceStore` persists ``span`` events to a ring file (the PR 9
-``AlertHistoryStore`` pattern) for ``repro.cli trace`` offline
+:class:`TraceStore` persists ``span`` events to a ring file (a
+:class:`~repro.cluster.spool.RingStore`) for ``repro.cli trace`` offline
 inspection; :func:`build_tree` / :func:`render_waterfall` turn a span
 list back into the per-trace waterfall.
 """
@@ -33,7 +33,7 @@ import time
 import zlib
 from collections import OrderedDict
 
-from repro.telemetry.alerts import AlertHistoryStore
+from repro.cluster.spool import RingStore
 
 #: Request header carrying (and response header echoing) the trace id.
 #: Lower-case on the wire contract: the front-end normalizes header
@@ -305,24 +305,17 @@ class Tracer:
             }
 
 
-class TraceStore(AlertHistoryStore):
+class TraceStore(RingStore):
     """Ring-file persistence of ``span`` events for offline inspection.
 
-    The :class:`AlertHistoryStore` machinery verbatim -- per-process
-    spool writer with size rotation, skew-proof merged replay, dead
-    writers' files folded exactly once -- just selecting ``span`` events
-    into its own subdirectory (``<telemetry-dir>/traces``).
+    A :class:`~repro.cluster.spool.RingStore` -- per-process spool
+    writer with size rotation, skew-proof merged replay, dead writers'
+    files folded exactly once -- selecting ``span`` events into its own
+    subdirectory (``<telemetry-dir>/traces``).
     """
 
-    def __init__(self, directory: str, *,
-                 rotate_bytes: int = TRACE_ROTATE_BYTES, budget=None):
-        super().__init__(
-            directory,
-            role="traces",
-            rotate_bytes=rotate_bytes,
-            event_types=frozenset({SPAN_EVENT}),
-            budget=budget,
-        )
+    def __init__(self, directory: str):
+        super().__init__(directory, "traces", (SPAN_EVENT,), TRACE_ROTATE_BYTES)
 
     def load_traces(self, compact: bool = True) -> "OrderedDict[str, list[dict]]":
         """Replay the ring into ``{trace_id: [span payloads by start]}``."""

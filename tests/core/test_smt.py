@@ -54,6 +54,11 @@ def test_invalid_thread_count():
         NBSMTMatmul(3, "S+A")
 
 
+def test_stacked_is_the_only_4t_kernel():
+    with pytest.raises(ValueError):
+        NBSMTMatmul(4, "S+A", fast4t_impl="legacy")
+
+
 def test_no_collisions_means_no_error(rng):
     """If thread 2's activations are all zero, S policies are exact."""
     x, w = make_quantized_pair(rng, m=24, k=32, n=12, act_sparsity=0.3)
@@ -346,9 +351,7 @@ def test_4t_resnet_shaped_row_selection_all_paths_agree():
     for policy in ALL_POLICIES:
         pruned = _assert_matches_reference(x, w, policy, prune_blocks=True)
         unpruned = _assert_matches_reference(x, w, policy, prune_blocks=False)
-        legacy = NBSMTMatmul(4, policy, collect_stats=False, fast4t_impl="legacy")
         assert np.array_equal(pruned, unpruned)
-        assert np.array_equal(pruned, legacy.matmul(x, w))
 
 
 @pytest.mark.parametrize("shapes", [((0, 8), (8, 3)), ((5, 0), (0, 3)),

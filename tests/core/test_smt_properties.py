@@ -3,7 +3,7 @@
 Hypothesis drives random operand matrices (with the boundary values the
 collision logic cares about: 4-bit fits, multiples of 16, zeros) through
 
-* the factorized fast paths (2- and 4-thread, optimized and legacy),
+* the factorized fast paths (2- and 4-thread),
 * the chunked reference executor, and
 * the explicit SySMT simulators (vectorized lane-level and per-PE objects),
 
@@ -99,28 +99,16 @@ def test_factorized_matches_reference_bit_exactly(case):
     _assert_stats_equal(fast.stats, reference.stats, f"{policy}/T{threads}")
 
 
-@STANDARD_SETTINGS
-@given(case=nbsmt_case())
-def test_optimized_4t_matches_legacy_4t(case):
-    """The stacked-GEMM 4-thread path reproduces the seed implementation."""
-    x, w, _, policy = case
-    optimized = NBSMTMatmul(4, policy, collect_stats=False)
-    legacy = NBSMTMatmul(4, policy, collect_stats=False, fast4t_impl="legacy")
-    np.testing.assert_array_equal(optimized.matmul(x, w), legacy.matmul(x, w))
-
-
 @pytest.mark.slow
 @DETERMINISM_SETTINGS
 @given(case=nbsmt_case(), prune_blocks=st.booleans())
-def test_4t_factorized_reference_legacy_agree_determinism_tier(case, prune_blocks):
-    """The 4-thread path against both oracles, at the determinism budget."""
+def test_4t_factorized_reference_agree_determinism_tier(case, prune_blocks):
+    """The 4-thread path against the reference, at the determinism budget."""
     x, w, _, policy = case
     fast = NBSMTMatmul(4, policy, collect_stats=True, prune_blocks=prune_blocks)
     reference = NBSMTMatmul(4, policy, collect_stats=True, force_reference=True)
-    legacy = NBSMTMatmul(4, policy, collect_stats=False, fast4t_impl="legacy")
     out_fast = fast.matmul(x, w)
     np.testing.assert_array_equal(out_fast, reference.matmul(x, w))
-    np.testing.assert_array_equal(out_fast, legacy.matmul(x, w))
     _assert_stats_equal(fast.stats, reference.stats, f"{policy}/T4")
 
 

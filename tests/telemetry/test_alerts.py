@@ -298,7 +298,9 @@ def test_webhook_sink_delivers_and_retries(receiver):
     sink = WebhookSink(url, sleep=lambda seconds: None)
     receiver.failures_left = 2  # first two attempts 500, then succeed
     sink({"rule": "r", "key": "k", "status": "firing"})
-    assert _wait_for(lambda: receiver.received)
+    # Wait on the sink's own count: the receiver records the body before
+    # it replies, so `received` can fill while `delivered` is still 0.
+    assert _wait_for(lambda: sink.stats()["delivered"] == 1)
     assert receiver.received[0]["rule"] == "r"
     stats = sink.stats()
     assert stats["delivered"] == 1 and stats["attempts"] == 3

@@ -7,8 +7,8 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.telemetry.alerts import AlertHistoryStore
-from repro.telemetry.bus import TelemetryBus
+from repro.telemetry.alerts import AlertEngine, AlertHistoryStore, AlertRule
+from repro.telemetry.bus import Event, TelemetryBus
 from repro.telemetry.tracing import TraceStore, Tracer
 
 pytestmark = pytest.mark.trace
@@ -95,5 +95,33 @@ def test_alerts_silence_targets_a_nested_history_directory(tmp_path):
     store = AlertHistoryStore(str(tmp_path / "history"))
     try:
         assert "replica_loss" in store.load_silences()
+    finally:
+        store.close()
+
+
+def test_alerts_silence_keeps_the_longer_window_and_reaches_an_engine(
+    tmp_path, capsys
+):
+    assert main(["alerts", "--dir", str(tmp_path),
+                 "--silence", "overload", "--for", "600"]) == 0
+    assert main(["alerts", "--dir", str(tmp_path),
+                 "--silence", "overload", "--for", "5"]) == 0
+    capsys.readouterr()
+    # Writing a silence opens no ring file of its own.
+    assert not any(".jsonl" in p.name for p in tmp_path.iterdir())
+
+    store = AlertHistoryStore(str(tmp_path))
+    engine = AlertEngine(
+        [AlertRule(name="overload", field="pressure", threshold=0.9)],
+        clock=lambda: 1.0, store=store,
+    )
+    try:
+        assert engine.silences()["overload"] == pytest.approx(
+            time.time() + 600.0, abs=5.0
+        )
+        fired = engine.consume(Event("endpoint_health", at=1.0,
+                                     source={"pid": 1}, seq=0,
+                                     data={"endpoint": "e", "pressure": 1.0}))
+        assert fired and fired[0].get("silenced") is True
     finally:
         store.close()
