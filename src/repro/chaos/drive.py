@@ -15,6 +15,7 @@ below the route layer), :class:`HttpStack` adds it.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from repro.chaos.invariants import ResponseLedger
 from repro.serve.deadline import Deadline, DeadlineExceeded
@@ -30,30 +31,31 @@ class ServingStack:
     :attr:`batcher` (``server.batchers[name]``), :attr:`metrics`
     (``server.metrics.endpoint(name)``), :attr:`admission` and the pool.
 
-    ``fork_workers > 0`` backs the endpoint with forked worker processes
-    (the :class:`~repro.chaos.actors.ProcessReaper`'s victims);
-    ``runner_wrap`` interposes on the built batcher's runner (the
+    ``config`` is the server's :class:`~repro.serve.server.ServeConfig`
+    (its ``fork_workers > 0`` backs the endpoint with forked worker
+    processes, the :class:`~repro.chaos.actors.ProcessReaper`'s victims);
+    the port is always ephemeral.  ``runner_wrap`` interposes on the
+    built batcher's runner (the
     :class:`~repro.chaos.actors.ClockPerturber`'s injection point) and
-    must forward ``trace=``.  Remaining keywords go to the server.
+    must forward ``trace=``.
     """
 
     def __init__(
         self,
         model: str = "resnet18",
-        scale: str = "fast",
-        fork_workers: int = 0,
+        config=None,
         threads: int = 2,
         max_batch: int = 8,
         max_pending: int = 64,
         provider=None,
-        warm: bool = True,
         runner_wrap=None,
         images=None,
-        **server_kwargs,
     ):
         from repro.serve.pool import EnginePool
         from repro.serve.registry import default_registry
-        from repro.serve.server import NBSMTServer
+        from repro.serve.server import NBSMTServer, ServeConfig
+
+        config = replace(config or ServeConfig(), port=0)
 
         self.registry = default_registry(
             models=[model],
@@ -64,14 +66,11 @@ class ServingStack:
         self.spec = self.registry.get(model)
         self.pool = EnginePool(
             self.registry,
-            scale=scale,
-            fork_workers=fork_workers,
+            scale=config.scale,
+            fork_workers=config.fork_workers,
             provider=provider,
-            warm=warm,
         )
-        self.server = NBSMTServer(
-            self.registry, scale=scale, pool=self.pool, **server_kwargs
-        )
+        self.server = NBSMTServer(self.registry, config, pool=self.pool)
         self.server.build_endpoints()
         name = self.spec.name
         self.batcher = self.server.batchers[name]
@@ -85,7 +84,7 @@ class ServingStack:
         if images is None:
             from repro.models.zoo import load_dataset
 
-            images = load_dataset(fast=(scale == "fast")).val_images
+            images = load_dataset(fast=(config.scale == "fast")).val_images
         self.images = images
 
     def replica_pids(self) -> list[int]:
@@ -108,7 +107,6 @@ def drive_open_loop(
     duration: float,
     budget_s: float = 1.0,
     ledger: ResponseLedger | None = None,
-    settle_timeout_s: float = 120.0,
     deadline_ms=None,
 ) -> dict:
     """Open-loop single-image arrivals, every outcome ledgered.
@@ -198,7 +196,7 @@ def drive_open_loop(
         pending.append(future)
     for future in pending:
         try:
-            future.result(timeout=settle_timeout_s)
+            future.result(timeout=120.0)
         except Exception:  # noqa: BLE001 - errors are ledgered outcomes
             pass
     # result() can return before the done-callbacks ran: the ledger (and
@@ -242,18 +240,17 @@ class HttpStack(ServingStack):
     serving alongside the mangled connections.
     """
 
-    def __init__(self, start_timeout_s: float = 600.0, **kwargs):
+    def __init__(self, **kwargs):
         import asyncio
         import threading
 
-        kwargs.setdefault("port", 0)
         super().__init__(**kwargs)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, daemon=True, name="chaos-http"
         )
         self._thread.start()
-        self._on_loop(self.server.start(), timeout=start_timeout_s)
+        self._on_loop(self.server.start(), timeout=600.0)
         self.host = self.server.host
         self.port = self.server.port
 

@@ -51,6 +51,7 @@ from repro.chaos.actors import (
 from repro.chaos.drive import HttpStack, ServingStack, drive_open_loop
 from repro.chaos.invariants import InvariantChecker, ResponseLedger
 from repro.chaos.schedule import ChaosSchedule
+from repro.serve.server import ServeConfig
 from repro.telemetry import bus as telemetry_bus
 from repro.telemetry.bus import SpoolFollower
 from repro.utils.diskbudget import DiskBudget, directory_bytes
@@ -162,8 +163,7 @@ def run_soak(
 
     stack = ServingStack(
         model=model,
-        scale=scale,
-        fork_workers=fork_workers,
+        config=ServeConfig(scale=scale, fork_workers=fork_workers),
         runner_wrap=perturber.wrap_runner,
     )
     http_stack = None
@@ -173,7 +173,7 @@ def run_soak(
     trend = None
     try:
         if network_faults:
-            http_stack = HttpStack(model=model, scale=scale)
+            http_stack = HttpStack(model=model, config=ServeConfig(scale=scale))
             mangler = NetworkMangler(
                 http_stack.host, http_stack.port, rng=mangler_rng
             )

@@ -217,39 +217,26 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_alert_rules(path: str | None):
-    """Parse a ``--alert-rules`` JSON file (a list of rule objects)."""
+def _load_alert_documents(path: str | None, flag: str, parse):
+    """Parse an ``--alert-rules``/``--alert-routes`` JSON list file."""
     if path is None:
         return None
     import json
 
-    from repro.telemetry.alerts import AlertRule
-
-    with open(path, encoding="utf-8") as handle:
-        documents = json.load(handle)
-    if not isinstance(documents, list):
-        raise ValueError("--alert-rules file must hold a JSON list of rules")
-    return [AlertRule.from_dict(document) for document in documents]
-
-
-def _load_alert_routes(path: str | None):
-    """Parse an ``--alert-routes`` JSON file (a list of route objects)."""
-    if path is None:
-        return None
-    import json
-
-    from repro.telemetry.alerts import SinkRoute
-
-    with open(path, encoding="utf-8") as handle:
-        documents = json.load(handle)
-    if not isinstance(documents, list):
-        raise ValueError("--alert-routes file must hold a JSON list of routes")
-    return [SinkRoute.from_dict(document) for document in documents]
+    try:
+        with open(path, encoding="utf-8") as handle:
+            documents = json.load(handle)
+        if not isinstance(documents, list):
+            raise ValueError("the file must hold a JSON list")
+        return tuple(parse(document) for document in documents)
+    except (OSError, TypeError, ValueError) as exc:
+        raise ValueError(f"{flag} {path}: {exc}") from exc
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.registry import default_registry
-    from repro.serve.server import run_server
+    from repro.serve.server import ServeConfig, run_server
+    from repro.telemetry.alerts import AlertRule, SinkRoute
 
     overrides = {
         "threads": args.threads,
@@ -264,24 +251,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.policy is not None:
         overrides["policy"] = args.policy
     registry = default_registry(models=args.models or ["resnet18"], **overrides)
-    # One keyword set for every topology: a single server, the --shards
-    # fork and a --federate member all run with the same settings.
-    server_kwargs = {
-        "scale": args.scale,
-        "fork_workers": args.fork_workers,
-        "host": args.host,
-        "port": args.port,
-        "telemetry_dir": args.telemetry_dir,
-        "spool_budget_bytes": int(args.spool_budget_mb * 1024 * 1024),
-        "max_connections": args.max_connections,
-        "alerts": not args.no_alerts,
-        "alert_rules": _load_alert_rules(args.alert_rules),
-        "alert_webhook": args.alert_webhook,
-        "alert_routes": _load_alert_routes(args.alert_routes),
-        "probe_interval_s": args.probe_interval_s,
-        "tracing": not args.no_trace,
-        "trace_sample": args.trace_sample,
-    }
+    # One config for every topology: a single server, the --shards fork
+    # and a --federate member all run with the same settings.
+    try:
+        config = ServeConfig(
+            scale=args.scale,
+            fork_workers=args.fork_workers,
+            host=args.host,
+            port=args.port,
+            telemetry_dir=args.telemetry_dir,
+            spool_budget_bytes=int(args.spool_budget_mb * 1024 * 1024),
+            max_connections=args.max_connections,
+            alerts=not args.no_alerts,
+            alert_rules=_load_alert_documents(
+                args.alert_rules, "--alert-rules", AlertRule.from_dict
+            ),
+            alert_webhook=args.alert_webhook,
+            alert_routes=_load_alert_documents(
+                args.alert_routes, "--alert-routes", SinkRoute.from_dict
+            ),
+            probe_interval_s=args.probe_interval_s,
+            tracing=not args.no_trace,
+            trace_sample=args.trace_sample,
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.federate is not None:
         # Cross-machine federation: this process's metrics exchange, QoS
         # quorum and telemetry spool all flow through the cluster agent at
@@ -305,25 +300,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.federate, node=f"serve-{index}", role="serve"
         )
         serve_member(
-            registry, transport, index, count,
-            coordinate=not args.no_coordinate, **server_kwargs,
+            registry, transport, index, count, config,
+            coordinate=not args.no_coordinate,
         )
         return 0
     if args.shards > 1:
         from repro.serve.sharding import run_sharded
 
-        # The shards share one directory: the metrics exchange at its
-        # root, their telemetry spool under it (see run_sharded).
-        shard_kwargs = dict(server_kwargs)
         run_sharded(
-            registry,
-            shards=args.shards,
-            exchange_dir=shard_kwargs.pop("telemetry_dir"),
-            coordinate=not args.no_coordinate,
-            **shard_kwargs,
+            registry, args.shards, config, coordinate=not args.no_coordinate
         )
         return 0
-    run_server(registry=registry, **server_kwargs)
+    run_server(registry, config)
     return 0
 
 

@@ -49,7 +49,7 @@ from repro.serve.qos import (
     Transition,
 )
 from repro.serve.registry import AdmissionController, ModelSpec, ServeRegistry
-from repro.serve.server import NBSMTServer
+from repro.serve.server import NBSMTServer, ServeConfig
 
 __all__ = [
     "AdmissionController",
@@ -69,6 +69,7 @@ __all__ = [
     "QoSConfig",
     "QoSController",
     "QueueFull",
+    "ServeConfig",
     "ServeRegistry",
     "Transition",
 ]

@@ -83,6 +83,7 @@ import os
 import signal
 import time
 from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,6 +109,14 @@ _MAX_HEADER_BYTES = 32 * 1024
 _TELEMETRY_TICK_S = 1.0
 #: Seconds a graceful stop waits for in-flight requests to finish.
 _DRAIN_TIMEOUT_S = 5.0
+#: Seconds between QoS ticks of the adaptive endpoints.
+_QOS_TICK_S = 0.2
+#: Seconds between a shard's metrics-exchange publishes.
+_SHARD_PUBLISH_S = 0.5
+#: Socket timeouts: one request/header line, the body, a response write.
+_READ_TIMEOUT_S = 10.0
+_BODY_TIMEOUT_S = 30.0
+_WRITE_TIMEOUT_S = 30.0
 #: Terminal responses remembered for ``X-Idempotency-Key`` replays.
 _IDEMPOTENCY_CACHE = 1024
 #: Milliseconds a shed (429) response advises the client to back off.
@@ -178,55 +187,76 @@ class _ConnState:
         self.busy = False
 
 
+@dataclass(frozen=True)
+class ServeConfig:
+    """The operator's serving settings: one field per ``repro.cli serve``
+    flag, with that flag's meaning and default (``alert_rules`` and
+    ``alert_routes`` hold the parsed files; None keeps the defaults).
+
+    Every topology (a single server, each ``--shards`` child, a
+    ``--federate`` member) runs from the same config.  The one field a
+    topology rewrites is ``telemetry_dir``: a ``--shards`` child spools
+    under ``<telemetry_dir>/telemetry`` (see
+    :func:`repro.serve.sharding.serve_member`).
+    """
+
+    scale: str = "fast"
+    fork_workers: int = 0
+    host: str = "127.0.0.1"
+    port: int = 8421
+    telemetry_dir: str | None = None
+    spool_budget_bytes: int = 0
+    max_connections: int = 256
+    alerts: bool = True
+    alert_rules: tuple | None = None
+    alert_webhook: str | None = None
+    alert_routes: tuple | None = None
+    probe_interval_s: float = 0.0
+    tracing: bool = True
+    trace_sample: float = 0.1
+
+    def __post_init__(self):
+        if self.max_connections < 1:
+            raise ValueError("--max-connections must be at least 1")
+        if self.spool_budget_bytes < 0:
+            raise ValueError("--spool-budget-mb must not be negative")
+        if self.probe_interval_s < 0:
+            raise ValueError("--probe-interval-s must not be negative")
+        if not 0.0 <= self.trace_sample <= 1.0:
+            raise ValueError("--trace-sample must be in [0, 1]")
+
+
 class NBSMTServer:
-    """The serving subsystem assembled: registry + pool + batchers + HTTP."""
+    """The serving subsystem assembled: registry + pool + batchers + HTTP.
+
+    The keyword-only arguments are parts a topology or a test injects.
+    """
 
     def __init__(
         self,
         registry: ServeRegistry | None = None,
+        config: ServeConfig = ServeConfig(),
         *,
-        scale: str = "fast",
-        fork_workers: int = 0,
-        host: str = "127.0.0.1",
-        port: int = 8421,
         pool: EnginePool | None = None,
         sock=None,
-        qos: QoSConfig | None = None,
-        qos_tick_s: float = 0.2,
         shard_exchange=None,
-        shard_index: int = 0,
-        shard_publish_s: float = 0.5,
-        telemetry_dir: str | None = None,
         coordinator=None,
-        max_connections: int = 256,
-        read_timeout_s: float = 10.0,
-        body_timeout_s: float = 30.0,
-        write_timeout_s: float = 30.0,
-        spool_budget_bytes: int = 0,
-        alerts: bool = True,
-        alert_rules=None,
-        alert_webhook: str | None = None,
-        alert_routes=None,
-        probe_interval_s: float = 0.0,
-        tracing: bool = True,
-        trace_sample: float = 0.1,
+        qos: QoSConfig | None = None,
         clock=time.monotonic,
     ):
         self.registry = registry or default_registry()
-        self.scale = scale
-        self.host = host
-        self.port = port
+        self.config = config
+        self.host = config.host
+        self.port = config.port
         self.metrics = MetricsRegistry()
         self.pool = pool or EnginePool(
-            self.registry, scale=scale, fork_workers=fork_workers
+            self.registry, scale=config.scale, fork_workers=config.fork_workers
         )
         self.batchers: dict[str, DynamicBatcher] = {}
         self.governors: dict[str, EndpointGovernor] = {}
         self.qos_config = qos or QoSConfig()
-        self.qos_tick_s = float(qos_tick_s)
         self.shard_exchange = shard_exchange
-        self.shard_index = int(shard_index)
-        self.shard_publish_s = float(shard_publish_s)
+        self.shard_index = getattr(shard_exchange, "shard_index", 0)
         self.coordinator = coordinator
         # Telemetry: events publish on the process bus; with a spool dir
         # (sharded mode) they also spill to disk so any shard's relay can
@@ -235,19 +265,18 @@ class NBSMTServer:
         # stays; the directory then holds the history and trace rings.
         bus = telemetry_bus.get_bus()
         bus.configure_source(role="serve", shard=self.shard_index)
+        telemetry_dir = config.telemetry_dir
         self._owns_spool = False
-        self.spool_budget = None
         if telemetry_dir is not None and bus.spool_dir is None:
-            if spool_budget_bytes > 0:
+            budget = None
+            if config.spool_budget_bytes > 0:
                 from repro.utils.diskbudget import DiskBudget
 
-                self.spool_budget = DiskBudget(
-                    str(telemetry_dir),
-                    spool_budget_bytes,
+                budget = DiskBudget(
+                    telemetry_dir, config.spool_budget_bytes,
                     name="telemetry-spool",
                 )
-            bus.attach_spool(telemetry_dir, role="serve",
-                             budget=self.spool_budget)
+            bus.attach_spool(telemetry_dir, role="serve", budget=budget)
             self._owns_spool = True
         self.relay = EventRelay(
             local_bus=bus,
@@ -262,10 +291,9 @@ class NBSMTServer:
         self.history = None
         self._webhook = None
         self._history_callback = None
-        self.probe_interval_s = float(probe_interval_s)
         self._probe_arrays: dict[str, np.ndarray] = {}
         self._last_corrupt_lines = 0
-        if alerts:
+        if config.alerts:
             from repro.telemetry import alerts as telemetry_alerts
 
             if telemetry_dir is not None:
@@ -275,21 +303,21 @@ class NBSMTServer:
                     os.path.join(str(telemetry_dir), "history")
                 )
             rules = (
-                list(alert_rules) if alert_rules is not None
+                list(config.alert_rules) if config.alert_rules is not None
                 else telemetry_alerts.default_rules()
             )
-            if self.probe_interval_s > 0:
-                rules.append(telemetry_alerts.probe_rule(self.probe_interval_s))
+            if config.probe_interval_s > 0:
+                rules.append(telemetry_alerts.probe_rule(config.probe_interval_s))
             sinks = {}
-            if alert_webhook:
-                self._webhook = telemetry_alerts.WebhookSink(alert_webhook)
+            if config.alert_webhook:
+                self._webhook = telemetry_alerts.WebhookSink(config.alert_webhook)
                 sinks["webhook"] = self._webhook
             self.alert_engine = telemetry_alerts.AlertEngine(
                 rules,
                 publish=telemetry_bus.publish,
                 sinks=sinks,
                 store=self.history,
-                routes=alert_routes,
+                routes=config.alert_routes,
             )
             # The engine sees everything the relay sees: the local bus
             # plus (when sharded) every peer's followed spool.
@@ -317,9 +345,9 @@ class NBSMTServer:
         self.tracer = None
         self.trace_store = None
         self._trace_callback = None
-        if tracing:
+        if config.tracing:
             self.tracer = Tracer(
-                publish=telemetry_bus.publish, sample_rate=trace_sample
+                publish=telemetry_bus.publish, sample_rate=config.trace_sample
             )
             if telemetry_dir is not None:
                 # Same trick as the history ring: a subdirectory keeps the
@@ -340,10 +368,6 @@ class NBSMTServer:
         self._draining = False
         # -- socket hardening (request lifelines) --------------------------
         self.clock = clock
-        self.max_connections = max(1, int(max_connections))
-        self.read_timeout_s = float(read_timeout_s)
-        self.body_timeout_s = float(body_timeout_s)
-        self.write_timeout_s = float(write_timeout_s)
         self._connections: set[_ConnState] = set()
         self._active_requests = 0
         self.evicted_connections = 0
@@ -456,7 +480,7 @@ class NBSMTServer:
         self._background_tasks.append(
             asyncio.create_task(self._telemetry_loop())
         )
-        if self.probe_interval_s > 0 and self.alert_engine is not None:
+        if self.config.probe_interval_s > 0 and self.alert_engine is not None:
             self._background_tasks.append(
                 asyncio.create_task(self._probe_loop())
             )
@@ -514,14 +538,14 @@ class NBSMTServer:
 
         while not self._stopped:
             await loop.run_in_executor(None, tick_all)
-            await asyncio.sleep(self.qos_tick_s)
+            await asyncio.sleep(_QOS_TICK_S)
 
     async def _publish_loop(self) -> None:
         """Periodically publish this shard's mergeable metrics payload."""
         loop = asyncio.get_running_loop()
         while not self._stopped:
             await loop.run_in_executor(None, self._publish_metrics)
-            await asyncio.sleep(self.shard_publish_s)
+            await asyncio.sleep(_SHARD_PUBLISH_S)
 
     def _publish_metrics(self) -> None:
         try:
@@ -548,7 +572,7 @@ class NBSMTServer:
         loop = asyncio.get_running_loop()
         while not self._stopped:
             await loop.run_in_executor(None, self._run_probes)
-            await asyncio.sleep(self.probe_interval_s)
+            await asyncio.sleep(self.config.probe_interval_s)
 
     def _run_probes(self) -> None:
         """One probe request through each endpoint's real data path.
@@ -574,7 +598,7 @@ class NBSMTServer:
                     self._probe_arrays[name] = image
                 future = self.batchers[name].submit(image, size=1)
                 logits, level = future.result(
-                    timeout=max(1.0, self.probe_interval_s)
+                    timeout=max(1.0, self.config.probe_interval_s)
                 )
                 ok = bool(np.isfinite(np.asarray(logits)).all())
                 reason = None if ok else "non-finite logits"
@@ -756,7 +780,7 @@ class NBSMTServer:
             if transport is not None:
                 transport.abort()
             return
-        if len(self._connections) >= self.max_connections:
+        if len(self._connections) >= self.config.max_connections:
             if not self._evict_idlest():
                 # Every slot is busy computing: refuse the newcomer rather
                 # than kill an in-flight response.
@@ -853,12 +877,12 @@ class NBSMTServer:
 
         The timeout bounds *each line*, not the whole header block -- but
         with the header byte cap a dripping client can stretch the read
-        phase to at most ``read_timeout_s`` per line over a bounded number
+        phase to at most ``_READ_TIMEOUT_S`` per line over a bounded number
         of lines before 431/408 reclaims the connection.
         """
         try:
             return await asyncio.wait_for(
-                reader.readline(), timeout=self.read_timeout_s
+                reader.readline(), timeout=_READ_TIMEOUT_S
             )
         except asyncio.TimeoutError:
             self.timed_out_reads += 1
@@ -894,7 +918,7 @@ class NBSMTServer:
         if length:
             try:
                 body = await asyncio.wait_for(
-                    reader.readexactly(length), timeout=self.body_timeout_s
+                    reader.readexactly(length), timeout=_BODY_TIMEOUT_S
                 )
             except asyncio.TimeoutError:
                 # Mid-body disconnect or byte-drip: the declared body never
@@ -929,7 +953,7 @@ class NBSMTServer:
         ).encode("ascii")
         writer.write(head + body)
         try:
-            await asyncio.wait_for(writer.drain(), timeout=self.write_timeout_s)
+            await asyncio.wait_for(writer.drain(), timeout=_WRITE_TIMEOUT_S)
         except asyncio.TimeoutError:
             # A client that stopped reading (byte-drip / half-open) is
             # holding our buffers hostage; abort rather than wait forever.
@@ -1031,7 +1055,7 @@ class NBSMTServer:
         """Socket-hardening counters (surfaced by ``/healthz``)."""
         return {
             "open": len(self._connections),
-            "max": self.max_connections,
+            "max": self.config.max_connections,
             "active_requests": self._active_requests,
             "evicted": self.evicted_connections,
             "refused": self.refused_connections,
@@ -1348,7 +1372,7 @@ class NBSMTServer:
         return 200, response
 
 
-def run_server(**kwargs) -> None:
-    """Blocking entry point used by ``repro.cli serve``."""
-    server = NBSMTServer(**kwargs)
+def run_server(registry, config: ServeConfig, **injected) -> None:
+    """Blocking entry point of every ``repro.cli serve`` topology."""
+    server = NBSMTServer(registry, config, **injected)
     asyncio.run(server.serve_forever())

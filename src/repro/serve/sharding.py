@@ -31,6 +31,7 @@ cluster agent there).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import shutil
 import signal
@@ -187,12 +188,8 @@ class ShardMetricsExchange:
 
 
 def serve_member(
-    registry,
-    transport,
-    index: int,
-    count: int,
-    coordinate: bool = True,
-    **server_kwargs,
+    registry, transport, index: int, count: int, config,
+    coordinate: bool = True, sock=None,
 ) -> None:
     """Run member ``index`` of a ``count``-process service until it stops.
 
@@ -200,13 +197,14 @@ def serve_member(
     metrics), ``qos`` (the coordinator's quorum, when ``coordinate``) and
     ``telemetry`` (the event spool).  A ``--shards`` child passes a
     :class:`~repro.cluster.transport.LocalDirTransport` over the shared
-    exchange directory: its event spool is a local spool in the
-    ``telemetry`` space, and ``spool_budget_bytes`` bounds both that spool
-    and its exchange documents.  A ``--federate`` process passes a
+    exchange directory: its server spools into the ``telemetry`` space
+    (the one setting of ``config`` a topology rewrites), and
+    ``spool_budget_bytes`` bounds both that spool and its exchange
+    documents.  A ``--federate`` process passes a
     :class:`~repro.cluster.transport.SocketTransport`: its events stream
     to the agent, and a ``telemetry_dir`` keeps only its alert history
-    and trace rings.  Everything else in ``server_kwargs`` reaches
-    :class:`~repro.serve.server.NBSMTServer` unchanged.
+    and trace rings.  ``sock`` is a ``--shards`` child's inherited
+    listener.
     """
     from repro.cluster.transport import LocalDirTransport, RemoteSpoolWriter
     from repro.serve.server import run_server
@@ -215,13 +213,14 @@ def serve_member(
 
     exchange_budget = None
     if isinstance(transport, LocalDirTransport):
-        server_kwargs["telemetry_dir"] = transport.space_dir("telemetry")
-        budget_bytes = server_kwargs.get("spool_budget_bytes", 0)
-        if budget_bytes > 0:
+        config = dataclasses.replace(
+            config, telemetry_dir=transport.space_dir("telemetry")
+        )
+        if config.spool_budget_bytes > 0:
             from repro.utils.diskbudget import DiskBudget
 
             exchange_budget = DiskBudget(
-                transport.space_dir("exchange"), budget_bytes,
+                transport.space_dir("exchange"), config.spool_budget_bytes,
                 name=f"shard-exchange-{index}",
             )
     else:
@@ -243,26 +242,19 @@ def serve_member(
             gather_cache_s=0.1,
         )
     run_server(
-        registry=registry,
-        shard_exchange=exchange,
-        shard_index=index,
-        coordinator=coordinator,
-        **server_kwargs,
+        registry, config,
+        sock=sock, shard_exchange=exchange, coordinator=coordinator,
     )
 
 
 def _shard_main(
-    index: int,
-    sockets: list[socket.socket],
-    registry,
-    shard_count: int,
-    exchange_dir: str,
-    server_kwargs: dict,
-    coordinate: bool,
+    index: int, sockets: list[socket.socket], registry, shard_count: int,
+    config, coordinate: bool,
 ) -> None:
     """One shard process: a full server on an inherited bound socket.
 
-    Every shard is forked *after* all the listeners are bound, so each
+    ``config.telemetry_dir`` is the shared exchange directory.  Every
+    shard is forked *after* all the listeners are bound, so each
     child inherits the whole socket list.  It must close its peers'
     copies immediately: a listening socket stays in the kernel's
     ``SO_REUSEPORT`` group as long as *any* process holds its fd, so a
@@ -285,39 +277,31 @@ def _shard_main(
     telemetry_bus.get_bus().reset_after_fork(role="serve", shard=index)
     # The pre-cluster layout: shard-<i>.json and qos-shard-<i>.json side
     # by side at the root, the event spool under telemetry/.
+    exchange_dir = config.telemetry_dir
     transport = LocalDirTransport(spaces={
         "exchange": exchange_dir,
         "qos": exchange_dir,
         "telemetry": os.path.join(exchange_dir, "telemetry"),
     })
     serve_member(
-        registry, transport, index, shard_count, coordinate,
-        sock=sock, **server_kwargs,
+        registry, transport, index, shard_count, config, coordinate, sock=sock
     )
 
 
-def run_sharded(
-    registry,
-    shards: int,
-    host: str = "127.0.0.1",
-    port: int = 8421,
-    exchange_dir: str | None = None,
-    coordinate: bool = True,
-    **server_kwargs,
-) -> None:
+def run_sharded(registry, shards: int, config, coordinate: bool = True) -> None:
     """Fork ``shards`` server processes sharing one listening address.
 
     Blocks until every shard exits; SIGINT/SIGTERM are forwarded so each
-    shard drains gracefully.  The metrics spool directory is created (and
-    cleaned up) here unless an explicit ``exchange_dir`` is supplied; the
-    shards' telemetry event spool lives under ``<exchange_dir>/telemetry``
-    so any shard's ``/v1/events`` (and ``/dashboard``) streams the whole
-    service.  ``coordinate=True`` (the default) runs the cross-shard QoS
-    coordinator: adaptive endpoints converge to one service-wide rung
-    instead of every shard walking its ladder blind to the others.  The
-    remaining ``server_kwargs`` reach every shard's server through
-    :func:`serve_member`; ``spool_budget_bytes`` bounds each shard's
-    telemetry spool and its exchange documents.
+    shard drains gracefully.  The shards listen on ``config.host`` and
+    ``config.port`` and share one exchange directory:
+    ``config.telemetry_dir``, or a temporary directory created (and
+    cleaned up) here.  Their telemetry event spool lives under
+    ``<exchange_dir>/telemetry`` so any shard's ``/v1/events`` (and
+    ``/dashboard``) streams the whole service.  ``coordinate=True`` (the
+    default) runs the cross-shard QoS coordinator: adaptive endpoints
+    converge to one service-wide rung instead of every shard walking its
+    ladder blind to the others.  Every shard's server runs from
+    ``config`` through :func:`serve_member`.
     """
     if shards < 2:
         raise ValueError("sharding needs at least 2 shards")
@@ -326,14 +310,16 @@ def run_sharded(
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
-    sockets = create_shard_sockets(host, port, shards)
+    sockets = create_shard_sockets(config.host, config.port, shards)
     actual_port = sockets[0].getsockname()[1]
+    exchange_dir = config.telemetry_dir
     owns_dir = exchange_dir is None
     if owns_dir:
         exchange_dir = tempfile.mkdtemp(prefix="repro-serve-shards-")
+    shard_config = dataclasses.replace(config, telemetry_dir=exchange_dir)
     print(
         f"repro.serve: sharding {shards} front-end processes on "
-        f"http://{host}:{actual_port} (SO_REUSEPORT)",
+        f"http://{config.host}:{actual_port} (SO_REUSEPORT)",
         flush=True,
     )
     processes = []
@@ -341,8 +327,8 @@ def run_sharded(
         for index in range(len(sockets)):
             process = context.Process(
                 target=_shard_main,
-                args=(index, sockets, registry, shards, exchange_dir,
-                      dict(server_kwargs), coordinate),
+                args=(index, sockets, registry, shards, shard_config,
+                      coordinate),
                 name=f"serve-shard-{index}",
             )
             process.start()

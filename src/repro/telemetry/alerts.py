@@ -429,14 +429,6 @@ class AlertEngine:
             self._silences_refreshed = time.monotonic()
 
     # -- wiring ------------------------------------------------------------
-    def add_sink(self, sink, name: str | None = None) -> None:
-        with self._lock:
-            if name is None:
-                name = f"sink{len(self._sinks)}"
-                while name in self._sinks:
-                    name += "_"
-            self._sinks[str(name)] = sink
-
     def add_rule(self, rule: AlertRule) -> None:
         with self._lock:
             if any(existing.name == rule.name for existing in self.rules):

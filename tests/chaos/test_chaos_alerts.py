@@ -20,6 +20,7 @@ from repro.chaos.actors import ProcessReaper
 from repro.chaos.drive import ServingStack, drive_open_loop
 from repro.chaos.invariants import InvariantChecker, ResponseLedger
 from repro.eval.parallel import fork_available
+from repro.serve.server import ServeConfig
 from repro.telemetry.alerts import (
     ALERT_EVENT_TYPES,
     AlertEngine,
@@ -27,6 +28,7 @@ from repro.telemetry.alerts import (
     AlertRule,
 )
 from repro.telemetry.bus import TelemetryBus
+from tests.chaos.conftest import closed_loop_capacity
 
 pytestmark = [
     pytest.mark.chaos,
@@ -36,11 +38,14 @@ pytestmark = [
 ]
 
 SEED = 20260808
+#: Open-loop arrival rate of the healthy warm-up, as a fraction of the
+#: stack's measured closed-loop capacity: well below it, so nothing sheds.
+WARMUP_LOAD = 0.25
 
 
 def _make_stack(tiny_harness, tiny_provider, **overrides):
     params = dict(
-        fork_workers=2,
+        config=ServeConfig(fork_workers=2),
         threads=2,
         max_batch=8,
         max_pending=32,
@@ -95,8 +100,11 @@ def test_replica_loss_fires_an_alert_and_recovery_resolves_it(
     image = stack.images[:1]
     try:
         # -- healthy baseline --------------------------------------------
+        # No overload: the warm-up rate is sized from measured capacity.
+        capacity = closed_loop_capacity(stack)
         warmup = drive_open_loop(
-            stack, rate=40.0, duration=0.5, budget_s=10.0, ledger=ledger
+            stack, rate=WARMUP_LOAD * capacity, duration=0.5, budget_s=10.0,
+            ledger=ledger,
         )
         checker.check("warmup_served", warmup["completed"] > 0,
                       f"warmup {warmup}")

@@ -25,30 +25,35 @@ import pytest
 from repro.chaos.actors import NetworkMangler
 from repro.chaos.drive import HttpStack
 from repro.chaos.invariants import InvariantChecker
+from repro.serve import server as serve_server
+from repro.serve.server import ServeConfig
 
 pytestmark = [pytest.mark.chaos]
 
 SEED = 20260808
 
 
-def _make_http(tiny_provider, **server_kwargs):
-    params = dict(
+def _make_http(tiny_provider, monkeypatch, max_connections, read_timeout_s,
+               body_timeout_s, write_timeout_s):
+    monkeypatch.setattr(serve_server, "_READ_TIMEOUT_S", read_timeout_s)
+    monkeypatch.setattr(serve_server, "_BODY_TIMEOUT_S", body_timeout_s)
+    monkeypatch.setattr(serve_server, "_WRITE_TIMEOUT_S", write_timeout_s)
+    return HttpStack(
         model="resnet18",
-        scale="fast",
+        config=ServeConfig(max_connections=max_connections),
         provider=tiny_provider,
         threads=2,
         max_batch=8,
         max_pending=32,
     )
-    params.update(server_kwargs)
-    return HttpStack(**params)
 
 
 def test_mangled_connections_are_reclaimed_and_traffic_flows(
-    tiny_harness, tiny_provider
+    tiny_harness, tiny_provider, monkeypatch
 ):
     stack = _make_http(
         tiny_provider,
+        monkeypatch,
         max_connections=8,
         read_timeout_s=0.4,
         body_timeout_s=1.0,
@@ -114,13 +119,14 @@ def test_mangled_connections_are_reclaimed_and_traffic_flows(
 
 
 def test_slow_loris_storm_cannot_exhaust_the_connection_cap(
-    tiny_harness, tiny_provider
+    tiny_harness, tiny_provider, monkeypatch
 ):
     """More parked connections than the cap: newcomers evict the idle
     garbage (never ledgered in-flight work) or are refused explicitly,
     and a well-behaved request always gets through."""
     stack = _make_http(
         tiny_provider,
+        monkeypatch,
         max_connections=4,
         read_timeout_s=5.0,  # long: reclaim must come from eviction
         body_timeout_s=5.0,

@@ -20,6 +20,8 @@ from repro.chaos.drive import ServingStack, drive_open_loop
 from repro.chaos.invariants import InvariantChecker, ResponseLedger
 from repro.chaos.schedule import ChaosSchedule
 from repro.eval.parallel import fork_available
+from repro.serve.server import ServeConfig
+from tests.chaos.conftest import closed_loop_capacity
 
 pytestmark = [
     pytest.mark.chaos,
@@ -39,7 +41,7 @@ RECOVERY_LOAD = 0.25
 
 def _make_stack(tiny_harness, tiny_provider, **overrides):
     params = dict(
-        fork_workers=2,
+        config=ServeConfig(fork_workers=2),
         threads=2,
         max_batch=8,
         max_pending=32,
@@ -164,28 +166,6 @@ def test_killing_every_worker_at_once_is_survivable(
         stack.close()
 
 
-def _closed_loop_capacity(stack, seconds=0.5):
-    """Single-image requests per second the stack completes when it always
-    has two full batches outstanding (no admission, no deadlines)."""
-    images = stack.images
-    window = 2 * stack.spec.max_batch
-    pending = []
-    completed = 0
-    index = 0
-    started = time.perf_counter()
-    while time.perf_counter() - started < seconds:
-        while len(pending) < window:
-            at = index % images.shape[0]
-            pending.append(stack.batcher.submit(images[at : at + 1], size=1))
-            index += 1
-        pending.pop(0).result(timeout=30.0)
-        completed += 1
-    elapsed = time.perf_counter() - started
-    for future in pending:
-        future.result(timeout=30.0)
-    return completed / elapsed
-
-
 def test_deadline_expiry_under_overload_keeps_the_ledger_exact(
     tiny_harness, tiny_provider
 ):
@@ -198,12 +178,12 @@ def test_deadline_expiry_under_overload_keeps_the_ledger_exact(
     fixed multiple of the capacity a short closed-loop drive measures
     first."""
     stack = _make_stack(
-        tiny_harness, tiny_provider, fork_workers=0, max_pending=64
+        tiny_harness, tiny_provider, config=ServeConfig(), max_pending=64
     )
     ledger = ResponseLedger()
     checker = InvariantChecker()
     try:
-        capacity = _closed_loop_capacity(stack)
+        capacity = closed_loop_capacity(stack)
         summary = drive_open_loop(
             stack,
             rate=OVERLOAD_FACTOR * capacity,

@@ -23,7 +23,9 @@ from repro.chaos.actors import ProcessReaper
 from repro.chaos.invariants import InvariantChecker
 from repro.cluster.documents import METRICS_STALE_AFTER_S
 from repro.eval.parallel import fork_available
+from repro.serve import server as serve_server
 from repro.serve import sharding
+from repro.serve.server import ServeConfig
 
 pytestmark = [
     pytest.mark.chaos,
@@ -36,7 +38,7 @@ pytestmark = [
 ]
 
 
-def test_shard_kill_keeps_merged_metrics_exact(tmp_path):
+def test_shard_kill_keeps_merged_metrics_exact(tmp_path, monkeypatch):
     from repro.serve.client import predict_once
     from repro.serve.registry import default_registry
 
@@ -44,12 +46,14 @@ def test_shard_kill_keeps_merged_metrics_exact(tmp_path):
     shards = 2
     sockets = sharding.create_shard_sockets("127.0.0.1", 0, shards)
     port = sockets[0].getsockname()[1]
+    # Faster publishes, set before the fork so the shards inherit them.
+    monkeypatch.setattr(serve_server, "_SHARD_PUBLISH_S", 0.2)
     context = multiprocessing.get_context("fork")
     processes = [
         context.Process(
             target=sharding._shard_main,
-            args=(index, sockets, registry, shards, str(tmp_path),
-                  {"scale": "fast", "shard_publish_s": 0.2}, False),
+            args=(index, sockets, registry, shards,
+                  ServeConfig(telemetry_dir=str(tmp_path)), False),
             daemon=True,
         )
         for index in range(shards)

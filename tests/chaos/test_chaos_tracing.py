@@ -38,9 +38,10 @@ SEED = 20260809
 
 def _make_stack(tiny_harness, tiny_provider, **overrides):
     from repro.chaos.drive import ServingStack
+    from repro.serve.server import ServeConfig
 
     params = dict(
-        fork_workers=2,
+        config=ServeConfig(fork_workers=2),
         threads=2,
         max_batch=8,
         max_pending=32,

@@ -116,7 +116,7 @@ def test_drained_shutdown_serves_queued_requests(tiny_harness, tiny_provider):
 @pytest.mark.serve
 def test_http_server_end_to_end(tiny_harness, tiny_provider):
     from repro.serve.client import fetch_json, predict_once, run_load
-    from repro.serve.server import NBSMTServer
+    from repro.serve.server import NBSMTServer, ServeConfig
 
     registry = ServeRegistry()
     spec = registry.register(
@@ -130,7 +130,7 @@ def test_http_server_end_to_end(tiny_harness, tiny_provider):
         )
     )
     pool = EnginePool(registry, provider=tiny_provider, warm=True)
-    server = NBSMTServer(registry, pool=pool, port=0)
+    server = NBSMTServer(registry, ServeConfig(port=0), pool=pool)
 
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
@@ -228,7 +228,7 @@ def test_http_server_end_to_end(tiny_harness, tiny_provider):
 
 @pytest.mark.serve
 def test_http_adaptive_endpoint_degrades_and_recovers(
-    tiny_harness, tiny_provider
+    tiny_harness, tiny_provider, monkeypatch
 ):
     """Open-loop overload over HTTP: the QoS controller walks the ladder.
 
@@ -240,8 +240,8 @@ def test_http_adaptive_endpoint_degrades_and_recovers(
     import time
 
     from repro.serve.client import fetch_json, run_load
+    from repro.serve import server as serve_server
     from repro.serve.qos import QoSConfig
-    from repro.serve.server import NBSMTServer
 
     registry = ServeRegistry()
     registry.register(
@@ -257,16 +257,16 @@ def test_http_adaptive_endpoint_degrades_and_recovers(
         )
     )
     pool = EnginePool(registry, provider=tiny_provider, warm=True)
-    server = NBSMTServer(
+    monkeypatch.setattr(serve_server, "_QOS_TICK_S", 0.05)
+    server = serve_server.NBSMTServer(
         registry,
+        serve_server.ServeConfig(port=0),
         pool=pool,
-        port=0,
         qos=QoSConfig(
             degrade_after_s=0.1,
             recover_after_s=0.3,
             cooldown_s=0.15,
         ),
-        qos_tick_s=0.05,
     )
 
     loop = asyncio.new_event_loop()

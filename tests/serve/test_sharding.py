@@ -12,7 +12,9 @@ import pytest
 
 from repro.cluster.documents import METRICS_STALE_AFTER_S, DocumentStore
 from repro.eval.parallel import fork_available
+from repro.serve import server as serve_server
 from repro.serve import sharding
+from repro.serve.server import ServeConfig
 
 needs_reuseport = pytest.mark.skipif(
     not sharding.reuseport_supported(), reason="SO_REUSEPORT unavailable"
@@ -93,7 +95,7 @@ def test_stale_spool_of_dead_shard_is_reaped(tmp_path):
 @pytest.mark.serve
 @needs_reuseport
 @pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-def test_sharded_front_end_serves_and_merges_metrics(tmp_path):
+def test_sharded_front_end_serves_and_merges_metrics(tmp_path, monkeypatch):
     """Two shards on one port: traffic balances, /v1/metrics merges exactly."""
     from repro.serve.client import predict_once
     from repro.serve.registry import default_registry
@@ -102,12 +104,14 @@ def test_sharded_front_end_serves_and_merges_metrics(tmp_path):
     shards = 2
     sockets = sharding.create_shard_sockets("127.0.0.1", 0, shards)
     port = sockets[0].getsockname()[1]
+    # Faster publishes, set before the fork so the shards inherit them.
+    monkeypatch.setattr(serve_server, "_SHARD_PUBLISH_S", 0.2)
     context = multiprocessing.get_context("fork")
     processes = [
         context.Process(
             target=sharding._shard_main,
-            args=(index, sockets, registry, shards, str(tmp_path),
-                  {"scale": "fast", "shard_publish_s": 0.2}, False),
+            args=(index, sockets, registry, shards,
+                  ServeConfig(telemetry_dir=str(tmp_path)), False),
             daemon=True,
         )
         for index in range(shards)
@@ -184,7 +188,7 @@ def test_sharded_front_end_serves_and_merges_metrics(tmp_path):
 @pytest.mark.serve
 @needs_reuseport
 @pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-def test_coordinated_shards_converge_and_stream_events(tmp_path):
+def test_coordinated_shards_converge_and_stream_events(tmp_path, monkeypatch):
     """Force one shard's rung: the peer follows the quorum, and any
     shard's ``/v1/events`` streams both shards' transitions (spool merge)."""
     from repro.serve.registry import default_registry
@@ -196,13 +200,16 @@ def test_coordinated_shards_converge_and_stream_events(tmp_path):
     shards = 2
     sockets = sharding.create_shard_sockets("127.0.0.1", 0, shards)
     port = sockets[0].getsockname()[1]
+    # Faster publishes and QoS ticks, set before the fork so the shards
+    # inherit them.
+    monkeypatch.setattr(serve_server, "_SHARD_PUBLISH_S", 0.2)
+    monkeypatch.setattr(serve_server, "_QOS_TICK_S", 0.1)
     context = multiprocessing.get_context("fork")
     processes = [
         context.Process(
             target=sharding._shard_main,
-            args=(index, sockets, registry, shards, str(tmp_path),
-                  {"scale": "fast", "shard_publish_s": 0.2,
-                   "qos_tick_s": 0.1}, True),
+            args=(index, sockets, registry, shards,
+                  ServeConfig(telemetry_dir=str(tmp_path)), True),
             daemon=True,
         )
         for index in range(shards)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.serve.pool import EnginePool
 from repro.serve.registry import ModelSpec, ServeRegistry
-from repro.serve.server import NBSMTServer, _HttpError, _RawBody
+from repro.serve.server import NBSMTServer, ServeConfig, _HttpError, _RawBody
 from repro.telemetry import bus as telemetry_bus
 
 
@@ -168,7 +168,7 @@ def test_http_sse_streams_rung_transitions(tiny_provider, tiny_harness):
     registry = ServeRegistry()
     registry.register(make_spec())
     pool = EnginePool(registry, provider=tiny_provider, warm=False)
-    server = NBSMTServer(registry, pool=pool, port=0)
+    server = NBSMTServer(registry, ServeConfig(port=0), pool=pool)
 
     async def main():
         await server.start()
@@ -244,8 +244,9 @@ def test_alert_engine_wired_into_server_and_history_restart(
         registry.register(make_spec())
         pool = EnginePool(registry, provider=tiny_provider, warm=False)
         server = NBSMTServer(
-            registry, pool=pool, telemetry_dir=str(tmp_path),
-            alert_rules=[rule],
+            registry,
+            ServeConfig(telemetry_dir=str(tmp_path), alert_rules=(rule,)),
+            pool=pool,
         )
         server.build_endpoints()
         return server, pool

@@ -26,7 +26,7 @@ import pytest
 from repro.eval.parallel import fork_available
 from repro.serve.pool import EnginePool
 from repro.serve.registry import ModelSpec, ServeRegistry
-from repro.serve.server import NBSMTServer
+from repro.serve.server import NBSMTServer, ServeConfig
 from repro.telemetry.tracing import TraceStore, build_tree, group_spans
 
 pytestmark = pytest.mark.trace
@@ -55,8 +55,9 @@ def _running_server(tiny_provider, tmp_path, *, fork_workers=0, **kwargs):
         fork_workers=fork_workers,
     )
     server = NBSMTServer(
-        registry, pool=pool, port=0,
-        telemetry_dir=str(tmp_path), **kwargs,
+        registry,
+        ServeConfig(port=0, telemetry_dir=str(tmp_path), **kwargs),
+        pool=pool,
     )
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)

@@ -57,14 +57,21 @@ def test_trace_accepts_the_telemetry_parent_directory(tmp_path, capsys):
 
 
 def test_trace_unknown_id_and_empty_dir_fail(tmp_path, capsys):
-    assert main(["trace", "--dir", str(tmp_path)]) == 1
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["trace", "--dir", str(empty)]) == 1
     assert "no traces" in capsys.readouterr().err
     _write_trace(tmp_path)
+
+    def ring_files():
+        return {p.name: p.stat().st_size for p in tmp_path.glob("traces-*")}
+
+    before = ring_files()
+    assert before
     assert main(["trace", "--dir", str(tmp_path), "--id", "0" * 16]) == 1
     assert "no spans" in capsys.readouterr().err
-    # Read-only inspection added no ring file of its own.
-    assert all("traces-" not in p.name or p.stat().st_size >= 0
-               for p in tmp_path.iterdir())
+    # Read-only inspection added, removed and rewrote no ring file.
+    assert ring_files() == before
 
 
 def test_alerts_silence_writes_the_shared_document(tmp_path, capsys):

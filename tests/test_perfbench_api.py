@@ -23,6 +23,7 @@ from repro.serve.batcher import BatchReport, DynamicBatcher
 from repro.serve.conformance import logits_digest
 from repro.serve.pool import EnginePool
 from repro.serve.registry import AdmissionController, ModelSpec
+from repro.serve.server import ServeConfig
 
 CALLS = [
     # perfbench/run.py (serve-http reference logits) and eval_worker.py.
@@ -78,3 +79,27 @@ def test_model_spec_builds_the_serving_engine():
 def test_batch_report_carries_the_timed_fields():
     names = {field.name for field in dataclasses.fields(BatchReport)}
     assert {"num_images", "service_seconds", "queue_waits"} <= names
+
+
+def test_serve_command_line_builds_the_benchmarked_server(monkeypatch):
+    # perfbench/run.py:start_server launches `python -m repro.cli` with
+    # these arguments (on a free port; 0 here).  The server must get the
+    # default config on that port, and the endpoint the spec perfbench
+    # computes its reference logits from.
+    from repro.cli import main
+    from repro.serve import server as serve_server
+
+    calls = []
+    monkeypatch.setattr(
+        serve_server, "run_server",
+        lambda registry, config, **injected: calls.append((registry, config)),
+    )
+    argv = ["serve", "alexnet", "--threads", "2", "--max-batch", "8",
+            "--port", "0"]
+    assert main(argv) == 0
+    [(registry, config)] = calls
+    assert config == ServeConfig(port=0)
+    assert registry.names() == ["alexnet"]
+    assert registry.get("alexnet") == ModelSpec(
+        name="alexnet", threads=2, max_batch=8
+    )
