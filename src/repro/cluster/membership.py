@@ -160,10 +160,6 @@ class MembershipRoster:
                     evicted.append(self._members.pop(node))
         return evicted
 
-    def forget(self, node: str) -> None:
-        with self._lock:
-            self._members.pop(node, None)
-
     def snapshot(self) -> dict:
         now = self.clock()
         return {

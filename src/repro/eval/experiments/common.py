@@ -19,7 +19,6 @@ point, the FP32/INT8 baseline point, and the throttling-curve point.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -50,30 +49,15 @@ SCALES: dict[str, ScaleConfig] = {
                         calibration_images=256),
 }
 
-#: Bounded LRU caches: harnesses/models are evicted least-recently-used once
-#: the limit is exceeded (evicted harnesses are closed, restoring the
-#: wrapped model's float matmuls), so sweeping many (model, scale) pairs no
-#: longer grows process memory without bound.
+#: Bounded LRU of calibrated harnesses.  Each harness is the only owner of
+#: the float model it wraps, so an evicted harness is simply dropped: a
+#: caller still holding it keeps a working quantized model.
 _HARNESS_CACHE: OrderedDict[tuple[str, str], SysmtHarness] = OrderedDict()
-_MODEL_CACHE: OrderedDict[tuple[str, str], TrainedModel] = OrderedDict()
+HARNESS_CACHE_LIMIT = 6
 
-#: Lease refcounts per harness (identity-keyed).  A leased harness evicted
-#: from the LRU (or swept by :func:`clear_harness_cache`) is parked in
-#: ``_DEFERRED_CLOSE`` instead of being closed under its holder; the last
-#: :func:`release_harness` closes it.  Long-lived holders -- the serving
-#: subsystem's warm engine replicas foremost -- take leases; plain
-#: :func:`get_harness` borrows remain safe because hooks re-install on use.
-_HARNESS_LEASES: dict[SysmtHarness, int] = {}
-_DEFERRED_CLOSE: set[SysmtHarness] = set()
-
-#: Serializes all cache/lease mutations (the serving subsystem touches the
-#: cache from batcher worker threads).
-_CACHE_LOCK = threading.RLock()
-
-
-def harness_cache_limit() -> int:
-    """Cached-harness budget (``REPRO_HARNESS_CACHE_LIMIT``, default 6)."""
-    return max(1, int(os.environ.get("REPRO_HARNESS_CACHE_LIMIT", "6")))
+#: Serializes cache mutations (the serving subsystem touches the cache from
+#: batcher worker threads).
+_CACHE_LOCK = threading.Lock()
 
 
 def get_scale(scale: str | ScaleConfig) -> ScaleConfig:
@@ -86,49 +70,26 @@ def get_scale(scale: str | ScaleConfig) -> ScaleConfig:
 
 
 def get_trained_model(name: str, scale: str | ScaleConfig = "fast") -> TrainedModel:
-    """Train-or-load a zoo model at the requested scale (memoized, bounded)."""
-    config = get_scale(scale)
-    key = (name, config.name)
-    with _CACHE_LOCK:
-        entry = _MODEL_CACHE.get(key)
-        if entry is None:
-            entry = load_trained_model(name, fast=config.fast_models)
-            _MODEL_CACHE[key] = entry
-        else:
-            _MODEL_CACHE.move_to_end(key)
-        limit = harness_cache_limit()
-        while len(_MODEL_CACHE) > limit:
-            _MODEL_CACHE.popitem(last=False)
-        return entry
-
-
-def _retire_harness(harness: SysmtHarness) -> None:
-    """Close a harness leaving the cache -- now, or when its leases end."""
-    if _HARNESS_LEASES.get(harness, 0) > 0:
-        _DEFERRED_CLOSE.add(harness)
-    else:
-        harness.close()
+    """Train-or-load a zoo model at the requested scale (a fresh object)."""
+    return load_trained_model(name, fast=get_scale(scale).fast_models)
 
 
 def get_harness(name: str, scale: str | ScaleConfig = "fast") -> SysmtHarness:
     """Build (or reuse) the experiment harness for one model.
 
-    The cache is a bounded LRU; evicting a harness calls ``close()`` on it
-    -- unless the harness is currently leased (:func:`acquire_harness`), in
-    which case the close is deferred to the last :func:`release_harness`.
-    A caller still holding a plain reference to an evicted (or cleared)
-    harness can keep using it -- its quantization hooks re-install
-    themselves on the next evaluation -- so eviction and
-    :func:`clear_harness_cache` are safe in the middle of a sweep.
+    The cache is a bounded LRU (:data:`HARNESS_CACHE_LIMIT` entries).  Each
+    harness wraps its own freshly loaded model, so eviction and
+    :func:`clear_harness_cache` just drop it: a caller still holding the
+    harness keeps using it, and the next :func:`get_harness` call rebuilds
+    (deterministically identical) state.
     """
     config = get_scale(scale)
     key = (name, config.name)
     with _CACHE_LOCK:
         harness = _HARNESS_CACHE.get(key)
         if harness is None:
-            trained = get_trained_model(name, config)
             harness = SysmtHarness(
-                trained,
+                get_trained_model(name, config),
                 max_eval_images=config.eval_images,
                 calibration_images=config.calibration_images,
                 batch_size=config.batch_size,
@@ -136,77 +97,15 @@ def get_harness(name: str, scale: str | ScaleConfig = "fast") -> SysmtHarness:
             _HARNESS_CACHE[key] = harness
         else:
             _HARNESS_CACHE.move_to_end(key)
-        limit = harness_cache_limit()
-        while len(_HARNESS_CACHE) > limit:
-            _, evicted = _HARNESS_CACHE.popitem(last=False)
-            _retire_harness(evicted)
+        while len(_HARNESS_CACHE) > HARNESS_CACHE_LIMIT:
+            _HARNESS_CACHE.popitem(last=False)
         return harness
-
-
-def acquire_harness(name: str, scale: str | ScaleConfig = "fast") -> SysmtHarness:
-    """Lease the harness for one model: it will not be closed under you.
-
-    Identical to :func:`get_harness` except that the returned harness is
-    refcounted: LRU eviction and :func:`clear_harness_cache` defer its
-    ``close()`` until the matching :func:`release_harness`.  Long-lived
-    holders (the serving subsystem's warm replicas) must use this pair.
-    """
-    with _CACHE_LOCK:
-        harness = get_harness(name, scale)
-        _HARNESS_LEASES[harness] = _HARNESS_LEASES.get(harness, 0) + 1
-        return harness
-
-
-def release_harness(harness: SysmtHarness) -> None:
-    """Return a lease taken by :func:`acquire_harness`.
-
-    When the last lease ends and the harness has meanwhile left the cache
-    (evicted or cleared), the deferred ``close()`` happens here.
-    """
-    with _CACHE_LOCK:
-        count = _HARNESS_LEASES.get(harness, 0) - 1
-        if count > 0:
-            _HARNESS_LEASES[harness] = count
-            return
-        _HARNESS_LEASES.pop(harness, None)
-        if harness in _DEFERRED_CLOSE:
-            _DEFERRED_CLOSE.discard(harness)
-            harness.close()
 
 
 def clear_harness_cache() -> None:
-    """Drop memoized harnesses (restores the wrapped models' matmuls).
-
-    Safe mid-sweep and mid-serve: a *leased* harness (see
-    :func:`acquire_harness`) is not closed until its last lease is
-    released; a plainly borrowed harness that is still referenced by
-    in-flight work re-installs its hooks on its next evaluation; and the
-    next :func:`get_harness` call simply rebuilds (deterministically
-    identical) state.
-    """
-    with _CACHE_LOCK:
-        for harness in _HARNESS_CACHE.values():
-            _retire_harness(harness)
-        _HARNESS_CACHE.clear()
-        _MODEL_CACHE.clear()
-
-
-def discard_inherited_state() -> None:
-    """Forget caches inherited by a forked sweep worker.
-
-    The parent's memoized harnesses arrive through fork with their hooks
-    installed on the parent's model objects; keeping them would pin that
-    copy-on-write memory for models the worker may never touch.  Unlike
-    :func:`clear_harness_cache` this does *not* close the harnesses -- the
-    hook state belongs to the parent's live objects, and the worker simply
-    rebuilds what it needs.  Inherited leases belong to the parent's
-    holders and are dropped without closing, for the same reason.
-    """
+    """Drop every memoized harness (forked workers call it on start)."""
     with _CACHE_LOCK:
         _HARNESS_CACHE.clear()
-        _MODEL_CACHE.clear()
-        _HARNESS_LEASES.clear()
-        _DEFERRED_CLOSE.clear()
 
 
 def results_dir() -> Path:

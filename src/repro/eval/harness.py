@@ -168,10 +168,6 @@ class SysmtHarness:
         if engine is None:
             engine = NBSMTEngine(policy_obj, collect_stats=collect_stats)
 
-        # A harness may be evaluated again after close() (e.g. when the
-        # bounded harness cache evicted it mid-sweep); re-install the hooks
-        # so the sharded path below never runs the pristine float model.
-        self.qmodel.ensure_installed()
         self.qmodel.set_threads(threads)
         if reorder:
             base_threads = threads if isinstance(threads, int) else 2
@@ -181,21 +177,10 @@ class SysmtHarness:
         self.qmodel.set_engine(engine)
         self.qmodel.clear_stats()
 
-        if workers > 1:
-            from repro.eval.parallel import evaluate_sharded
-
-            accuracy = evaluate_sharded(
-                self.qmodel,
-                self.eval_images,
-                self.eval_labels,
-                batch_size=self.batch_size,
-                workers=workers,
-                engine=engine,
-            )
-        else:
-            accuracy = self.qmodel.evaluate(
-                self.eval_images, self.eval_labels, batch_size=self.batch_size
-            )
+        accuracy = self.qmodel.evaluate(
+            self.eval_images, self.eval_labels, batch_size=self.batch_size,
+            workers=workers,
+        )
         assignment = self.qmodel.thread_assignment()
         return NBSMTRunResult(
             accuracy=accuracy,

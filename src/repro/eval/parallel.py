@@ -102,8 +102,8 @@ def _worklist_main(thunks, initializer, finalizer) -> None:
     telemetry_bus.get_bus().reset_after_fork(role="sweep-worker")
     # Graceful shutdown: SIGINT/SIGTERM ask the worker to *drain* -- the
     # thunk in flight completes (and persists its point), the remaining
-    # thunks are skipped, and the finalizer still runs so engines/harnesses
-    # are closed instead of the process being ripped out from under them.
+    # thunks are skipped, and the finalizer still runs its cleanup instead
+    # of the process being ripped out from under it.
     stop_requested = False
 
     def _request_stop(signum, frame):

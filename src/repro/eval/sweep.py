@@ -419,25 +419,14 @@ _WORKER_CONTEXT: SweepContext | None = None
 def _worker_initializer(session: SweepSession, inner_workers: int):
     def initialize():
         global _WORKER_CONTEXT
-        # Inherited memoized harnesses carry the parent's installed hooks
-        # and would pin its copy-on-write memory; workers rebuild their own.
-        from repro.eval.experiments.common import discard_inherited_state
+        # Inherited memoized harnesses would pin the parent's copy-on-write
+        # memory for models the worker may never touch; it builds its own.
+        from repro.eval.experiments.common import clear_harness_cache
 
-        discard_inherited_state()
+        clear_harness_cache()
         _WORKER_CONTEXT = SweepContext(session, inner_workers=inner_workers)
 
     return initialize
-
-
-def _worker_finalizer():
-    """Close the harnesses a sweep worker built for itself.
-
-    Runs even when the worker drains early on SIGINT/SIGTERM, so forked
-    workers never exit with engines installed on live models.
-    """
-    from repro.eval.experiments.common import clear_harness_cache
-
-    clear_harness_cache()
 
 
 def _make_group_thunk(points: list[SweepPoint]):
@@ -515,7 +504,6 @@ def run_sweep(
                 ok = parallel.run_worklists(
                     worklists,
                     initializer=_worker_initializer(session, inner),
-                    finalizer=_worker_finalizer,
                 )
                 if not all(ok):
                     failed = sum(1 for flag in ok if not flag)

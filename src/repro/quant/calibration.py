@@ -104,40 +104,23 @@ def calibrate_model(
 ) -> CalibrationResult:
     """Run the statistics-gathering pass and return a :class:`CalibrationResult`.
 
-    Calibration must observe the model's *floating-point* behavior.  If a
-    :class:`~repro.quant.qmodel.QuantizedModel` is currently installed on the
-    model, its hooks are bypassed for the duration of this function (both the
-    batch-norm recalibration and the statistics passes), then restored:
-    calibrating through quantized execution would bake quantization noise
-    into the BN statistics and the activation scales.
+    Calibration must observe the model's *floating-point* behavior, so a
+    model carrying quantization hooks (an installed
+    :class:`~repro.quant.qmodel.QuantizedModel`) is refused: calibrating
+    through quantized execution would bake quantization noise into the BN
+    statistics and the activation scales.  Calibrate before wrapping.
     """
-    from repro.quant.qmodel import unwrap_matmul_fn
-
     targets = _target_layers(model, include_linear)
-    installed = {name: layer.matmul_fn for name, layer in targets.items()}
-    originals = {name: unwrap_matmul_fn(fn) for name, fn in installed.items()}
-    try:
-        for name, layer in targets.items():
-            layer.matmul_fn = originals[name]
-        result = _calibrate_float_model(
-            model, images, batch_size, targets, originals,
-            recalibrate_bn, collect_column_stats,
+    hooked = [
+        name for name, layer in targets.items()
+        if hasattr(layer.matmul_fn, "prepare_input")
+    ]
+    if hooked:
+        raise ValueError(
+            f"layers {hooked} carry a quantization hook; calibrate the "
+            "float model before wrapping it"
         )
-    finally:
-        for name, layer in targets.items():
-            layer.matmul_fn = installed[name]
-    return result
-
-
-def _calibrate_float_model(
-    model: Module,
-    images: np.ndarray,
-    batch_size: int,
-    targets: dict[str, Module],
-    originals: dict[str, object],
-    recalibrate_bn: bool,
-    collect_column_stats: bool,
-) -> CalibrationResult:
+    originals = {name: layer.matmul_fn for name, layer in targets.items()}
     if recalibrate_bn:
         recalibrate_batchnorm(model, images, batch_size)
     model.eval()

@@ -11,7 +11,7 @@ the first convolution layer and the fully-connected layers are left intact.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,19 +37,6 @@ class QuantConfig:
     skip_first_conv: bool = True
     include_linear: bool = False
     depthwise_single_thread: bool = True
-
-
-def unwrap_matmul_fn(fn):
-    """Follow the ``__wrapped__`` chain down to the float matmul function.
-
-    Quantization hooks installed by :class:`QuantizedModel` carry a
-    ``__wrapped__`` attribute pointing at the function they replaced, so any
-    code that needs the model's pristine floating-point behavior (notably
-    calibration) can recover it even when a hook is installed.
-    """
-    while hasattr(fn, "__wrapped__"):
-        fn = fn.__wrapped__
-    return fn
 
 
 @dataclass
@@ -166,66 +153,41 @@ class QuantizedModel:
         return hook
 
     def _install(self) -> None:
-        """Install (or re-install) this wrapper's hooks; idempotent.
+        """Install this wrapper's hooks over the layers' float matmuls.
 
-        Quantization wrappers do not stack: if another wrapper's hook is
-        currently installed on a module, it is *replaced*, and the pristine
-        floating-point function (recovered through the ``__wrapped__`` chain)
-        becomes the restore target.  A displaced wrapper re-installs itself
-        the next time it is used (see :meth:`_ensure_installed`).
+        One wrapper per model: a layer that already carries a quantization
+        hook (one with ``prepare_input``) is refused, so hooks never stack
+        and every hook's ``original_matmul`` is the float function.
         """
+        hooked = [
+            name for name, layer in self.layers.items()
+            if hasattr(layer.module.matmul_fn, "prepare_input")
+        ]
+        if hooked:
+            raise ValueError(
+                f"layers {hooked} already carry a quantization hook; "
+                "remove() the installed QuantizedModel first"
+            )
         for layer in self.layers.values():
-            current = layer.module.matmul_fn
-            if layer.hook is not None and current is layer.hook:
-                continue
-            layer.original_matmul = unwrap_matmul_fn(current)
-            if layer.hook is None:
-                hook = self._make_hook(layer)
-                # Expose the pristine float function so calibration (and
-                # float_execution) can bypass installed quantization hooks.
-                hook.__wrapped__ = layer.original_matmul
-                layer.hook = hook
+            layer.original_matmul = layer.module.matmul_fn
+            layer.hook = self._make_hook(layer)
             layer.module.matmul_fn = layer.hook
 
     def ensure_installed(self) -> None:
-        """Public alias of :meth:`_ensure_installed`.
+        """Re-install the hooks that :meth:`remove` took out.
 
-        Callers that may run after this wrapper was removed (e.g. a sweep
-        point evaluated after ``clear_harness_cache()`` closed the cached
-        harness mid-sweep) can call this to re-install the hooks before
-        touching the model directly.
-        """
-        self._ensure_installed()
-
-    def _ensure_installed(self) -> None:
-        """Re-install hooks that were displaced and later removed.
-
-        Only modules currently holding their *pristine float* function are
-        re-hooked: a foreign wrapper (another quantization wrapper, a
-        calibration observer, a test probe) is left in place, since it either
-        delegates to this wrapper's hook or intentionally replaces it.
+        Only modules holding their float function are re-hooked; a probe
+        installed over the hook (e.g. by ``model_mac_counts``) stays.
         """
         for layer in self.layers.values():
-            if (
-                layer.hook is not None
-                and layer.module.matmul_fn is layer.hook.__wrapped__
-            ):
-                layer.original_matmul = layer.hook.__wrapped__
+            if layer.module.matmul_fn is layer.original_matmul:
                 layer.module.matmul_fn = layer.hook
 
     def remove(self) -> None:
-        """Restore the original floating-point matmuls.
-
-        Only hooks that are still installed are removed; a module whose hook
-        was displaced by another wrapper is left untouched.
-        """
+        """Restore the original floating-point matmuls."""
         for layer in self.layers.values():
-            if (
-                layer.original_matmul is not None
-                and layer.module.matmul_fn is layer.hook
-            ):
+            if layer.module.matmul_fn is layer.hook:
                 layer.module.matmul_fn = layer.original_matmul
-            layer.original_matmul = None
 
     def __enter__(self) -> "QuantizedModel":
         return self
@@ -235,19 +197,13 @@ class QuantizedModel:
 
     @contextmanager
     def float_execution(self):
-        """Temporarily run the wrapped model with its float matmuls.
-
-        Unlike :meth:`remove` followed by a re-install, this restores the
-        *pristine* float functions even when several quantization wrappers
-        have been stacked on the same model, and puts the currently installed
-        hooks back afterwards.
-        """
+        """Temporarily run the wrapped model with its float matmuls."""
         installed = {
             name: layer.module.matmul_fn for name, layer in self.layers.items()
         }
         try:
             for layer in self.layers.values():
-                layer.module.matmul_fn = unwrap_matmul_fn(layer.module.matmul_fn)
+                layer.module.matmul_fn = layer.original_matmul
             yield self
         finally:
             for name, layer in self.layers.items():
@@ -308,7 +264,7 @@ class QuantizedModel:
         accumulated by the warm-up are discarded (engine-side statistics
         are the caller's to reset -- the engine may be shared).
         """
-        self._ensure_installed()
+        self.ensure_installed()
         self.model.eval()
         self.model(images)
         self.clear_stats()
@@ -330,7 +286,7 @@ class QuantizedModel:
         it collects any (engines installed as per-layer overrides only
         contribute context stats).
         """
-        self._ensure_installed()
+        self.ensure_installed()
         if workers > 1:
             from repro.eval.parallel import evaluate_sharded
 
@@ -349,6 +305,6 @@ class QuantizedModel:
         return evaluate_accuracy(self.model, images, labels, batch_size=batch_size)
 
     def forward(self, images: np.ndarray) -> np.ndarray:
-        self._ensure_installed()
+        self.ensure_installed()
         self.model.eval()
         return self.model(images)

@@ -12,9 +12,9 @@ The subsystem is assembled from five pieces:
   layers), plus per-endpoint admission control (backpressure).
 * :mod:`repro.serve.pool` -- warm engine replicas: one calibrated
   :class:`~repro.quant.qmodel.QuantizedModel` plus one configured
-  :class:`~repro.core.engine.NBSMTEngine` per model, leased from the
-  refcounted experiment harness cache, optionally mirrored into persistent
-  forked worker processes.
+  :class:`~repro.core.engine.NBSMTEngine` per model, taken from the
+  experiment harness cache, optionally mirrored into persistent forked
+  worker processes.
 * :mod:`repro.serve.batcher` -- the dynamic batching scheduler: queued
   requests are coalesced into engine-sized batches under a latency budget.
 * :mod:`repro.serve.metrics` -- per-endpoint latency quantiles, throughput,

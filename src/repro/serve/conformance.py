@@ -164,7 +164,6 @@ def trace_run(harness, threads, policy: str = POLICY):
     """
     engine = NBSMTEngine(policy, collect_stats=True)
     qmodel = harness.qmodel
-    qmodel.ensure_installed()
     qmodel.set_threads(dict(threads) if not isinstance(threads, int) else threads)
     harness.clear_permutations()
     qmodel.set_engine(engine)

@@ -2,9 +2,9 @@
 
 Serving latency budgets rule out calibrating (let alone training) a model
 on the request path, so each endpoint is backed by *warm replicas*: a
-calibrated :class:`~repro.quant.qmodel.QuantizedModel` leased from the
-refcounted experiment-harness cache
-(:func:`repro.eval.experiments.common.acquire_harness`) plus one
+calibrated :class:`~repro.quant.qmodel.QuantizedModel` taken from the
+experiment-harness cache
+(:func:`repro.eval.experiments.common.get_harness`) plus one
 pre-configured :class:`~repro.core.engine.NBSMTEngine` whose executors,
 lookup tables and weight-quantization caches are primed by a warm-up
 forward pass before the endpoint goes live.
@@ -70,30 +70,12 @@ def _execution_lock(qmodel) -> threading.RLock:
         return lock
 
 
-class CachedHarnessProvider:
-    """Default lease source: the refcounted experiment-harness LRU."""
-
-    def __init__(self, scale: str = "fast"):
-        self.scale = scale
-
-    def acquire(self, spec: ModelSpec):
-        from repro.eval.experiments.common import acquire_harness
-
-        return acquire_harness(spec.zoo_model, self.scale)
-
-    def release(self, harness) -> None:
-        from repro.eval.experiments.common import release_harness
-
-        release_harness(harness)
-
-
 class InlineReplica:
     """One warm (harness, engine) pair executing batches in-process."""
 
     def __init__(self, spec: ModelSpec, provider, warm: bool = True):
         self.spec = spec
-        self.provider = provider
-        self.harness = provider.acquire(spec)
+        self.harness = provider(spec)
         self.engine = NBSMTEngine(
             spec.resolved_policy(),
             collect_stats=spec.collect_stats,
@@ -112,7 +94,6 @@ class InlineReplica:
 
     def _install(self) -> None:
         qmodel = self.harness.qmodel
-        qmodel.ensure_installed()
         if self._point is not None:
             qmodel.set_threads(dict(self._point.threads))
         elif self.spec.slow_layers:
@@ -196,7 +177,6 @@ class InlineReplica:
         requests -- different engine, thread assignment or permutations.
         """
         qmodel = self.harness.qmodel
-        qmodel.ensure_installed()
         if (
             qmodel.default_engine is not self.engine
             or qmodel.thread_assignment() != self._assignment
@@ -259,10 +239,7 @@ class InlineReplica:
         return logits, layer_stats, level
 
     def close(self) -> None:
-        if self._closed:
-            return
         self._closed = True
-        self.provider.release(self.harness)
 
 
 def _forked_replica_main(spec: ModelSpec, provider, conn) -> None:
@@ -344,14 +321,13 @@ class ForkedReplica:
     -- the same trick the sweep scheduler's per-model workers use.
     """
 
-    def __init__(self, spec: ModelSpec, provider, warm: bool = True):
+    def __init__(self, spec: ModelSpec, provider):
         if not parallel.fork_available():  # pragma: no cover - platform
             raise RuntimeError("forked replicas require the fork start method")
         import multiprocessing
 
         self.spec = spec
         self.provider = provider
-        self._warm = warm
         context = multiprocessing.get_context("fork")
         self._conn, child_conn = context.Pipe()
         self._process = context.Process(
@@ -365,12 +341,6 @@ class ForkedReplica:
         self._closed = False
         self._point: OperatingPoint | None = None
         self._pace_unit: float | None = None
-        if warm:
-            self.warm()
-
-    def warm(self) -> None:
-        """One throwaway request primes the child's engine caches."""
-        # The child replica is constructed unwarmed; any inference warms it.
 
     @property
     def level(self) -> int:
@@ -416,7 +386,7 @@ class ForkedReplica:
         with self._lock:
             self._closed = True
             self._reap(timeout=1.0)
-        fresh = ForkedReplica(self.spec, self.provider, warm=self._warm)
+        fresh = ForkedReplica(self.spec, self.provider)
         # The replacement worker must serve at the same rung (and pacing)
         # as the one it replaces, not at the spec's static configuration.
         # If re-applying fails (the new child died too), reap it instead of
@@ -689,9 +659,10 @@ class EnginePool:
     ``fork_workers`` > 0 backs each endpoint with that many forked worker
     replicas *in addition to* building (and keeping) the calibrated harness
     in the parent, which the children then inherit copy-on-write; ``0``
-    (the default) serves inline.  ``provider`` overrides where harnesses
-    come from (tests inject pre-built ones); by default they are leased
-    from the refcounted experiment-harness cache at ``scale``.
+    (the default) serves inline.  ``provider`` maps a
+    :class:`~repro.serve.registry.ModelSpec` to its harness (tests inject
+    pre-built ones); by default it is ``get_harness(spec.zoo_model,
+    scale)`` from the experiment-harness cache.
     """
 
     def __init__(
@@ -705,7 +676,7 @@ class EnginePool:
         self.registry = registry
         self.scale = scale
         self.fork_workers = int(fork_workers)
-        self.provider = provider or CachedHarnessProvider(scale)
+        self.provider = provider or self._cached_harness
         self.warm = warm
         self._sets: dict[str, ReplicaSet] = {}
         self._input_shapes: dict[str, tuple[int, ...]] = {}
@@ -717,6 +688,11 @@ class EnginePool:
         #: swap actually applied to the replicas.
         self._point_locks: dict[str, threading.Lock] = {}
         self._lock = threading.Lock()
+
+    def _cached_harness(self, spec: ModelSpec):
+        from repro.eval.experiments.common import get_harness
+
+        return get_harness(spec.zoo_model, self.scale)
 
     def replica_set(self, endpoint: str) -> ReplicaSet:
         """Build (or fetch) the warm replica set of one endpoint."""
@@ -753,7 +729,7 @@ class EnginePool:
         if self.fork_workers > 0 and parallel.fork_available():
             workers = max(self.fork_workers, spec.replicas)
             for _ in range(workers):
-                replicas.append(ForkedReplica(spec, self.provider, warm=self.warm))
+                replicas.append(ForkedReplica(spec, self.provider))
             primary.close()
         else:
             # Inline replicas of one endpoint would all wrap the same
@@ -926,7 +902,7 @@ class EnginePool:
         return run_batch
 
     def close(self) -> None:
-        """Close every replica (releasing the harness leases)."""
+        """Close every replica (forked workers drain and exit)."""
         with self._lock:
             sets, self._sets = list(self._sets.values()), {}
         for replica_set in sets:

@@ -70,7 +70,7 @@ to ``draining`` (503) and stop accepting new connections first -- so
 load balancers rolling a sharded front-end can take one shard out of
 rotation at a time -- then wait (bounded) for in-flight requests, drain
 every batcher (queued requests still execute and respond), close the
-engine pool (releasing harness leases / terminating forked workers), and
+engine pool (terminating forked workers), and
 then return from :meth:`NBSMTServer.serve_forever`.
 """
 
@@ -111,6 +111,8 @@ _TELEMETRY_TICK_S = 1.0
 _DRAIN_TIMEOUT_S = 5.0
 #: Seconds between QoS ticks of the adaptive endpoints.
 _QOS_TICK_S = 0.2
+#: Hysteresis of the adaptive endpoints' QoS controllers.
+_QOS_CONFIG = QoSConfig()
 #: Seconds between a shard's metrics-exchange publishes.
 _SHARD_PUBLISH_S = 0.5
 #: Socket timeouts: one request/header line, the body, a response write.
@@ -241,7 +243,6 @@ class NBSMTServer:
         sock=None,
         shard_exchange=None,
         coordinator=None,
-        qos: QoSConfig | None = None,
         clock=time.monotonic,
     ):
         self.registry = registry or default_registry()
@@ -254,7 +255,6 @@ class NBSMTServer:
         )
         self.batchers: dict[str, DynamicBatcher] = {}
         self.governors: dict[str, EndpointGovernor] = {}
-        self.qos_config = qos or QoSConfig()
         self.shard_exchange = shard_exchange
         self.shard_index = getattr(shard_exchange, "shard_index", 0)
         self.coordinator = coordinator
@@ -422,7 +422,7 @@ class NBSMTServer:
             self.batchers[name] = batcher
             ladder = self.pool.ladder(name)
             controller = (
-                QoSController(len(ladder), config=self.qos_config)
+                QoSController(len(ladder), config=_QOS_CONFIG)
                 if len(ladder) > 1
                 else None
             )

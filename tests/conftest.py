@@ -12,6 +12,8 @@ conformance suite are guaranteed to exercise the identical model.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -77,10 +79,14 @@ def tiny_trained_entry(tiny_dataset, tiny_trained_model):
 
 @pytest.fixture(scope="session")
 def tiny_harness(tiny_trained_entry):
+    """A harness over its own copy of the tiny CNN, so tests that wrap or
+    calibrate ``tiny_trained_entry.model`` never meet its hooks."""
+    from dataclasses import replace
+
     from repro.eval.harness import SysmtHarness
 
     harness = SysmtHarness(
-        tiny_trained_entry,
+        replace(tiny_trained_entry, model=copy.deepcopy(tiny_trained_entry.model)),
         max_eval_images=96,
         calibration_images=96,
         batch_size=48,

@@ -1,8 +1,16 @@
-"""Refcounted harness LRU: eviction/clear defer close under live leases."""
+"""Harness LRU: each harness owns its model, so eviction just drops it."""
 
+import copy
+from collections import OrderedDict
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.eval.experiments import common
+from repro.eval.macs import model_mac_counts
+from repro.serve.pool import InlineReplica
+from repro.serve.registry import ModelSpec
 
 
 class FakeHarness:
@@ -17,27 +25,22 @@ class FakeHarness:
 
 
 @pytest.fixture
-def pristine_cache():
-    """Run against an empty cache; restore whatever was there afterwards."""
-    with common._CACHE_LOCK:
-        saved_harnesses = dict(common._HARNESS_CACHE)
-        saved_models = dict(common._MODEL_CACHE)
-        saved_leases = dict(common._HARNESS_LEASES)
-        saved_deferred = set(common._DEFERRED_CLOSE)
-        common._HARNESS_CACHE.clear()
-        common._MODEL_CACHE.clear()
-        common._HARNESS_LEASES.clear()
-        common._DEFERRED_CLOSE.clear()
-    yield
-    with common._CACHE_LOCK:
-        common._HARNESS_CACHE.clear()
-        common._HARNESS_CACHE.update(saved_harnesses)
-        common._MODEL_CACHE.clear()
-        common._MODEL_CACHE.update(saved_models)
-        common._HARNESS_LEASES.clear()
-        common._HARNESS_LEASES.update(saved_leases)
-        common._DEFERRED_CLOSE.clear()
-        common._DEFERRED_CLOSE.update(saved_deferred)
+def pristine_cache(monkeypatch):
+    """Run against an empty cache; the real one is restored afterwards."""
+    monkeypatch.setattr(common, "_HARNESS_CACHE", OrderedDict())
+
+
+@pytest.fixture
+def tiny_zoo(pristine_cache, monkeypatch, tiny_trained_entry):
+    """A zoo that loads a fresh copy of the tiny CNN on every call, as the
+    disk-backed zoo loads a fresh model from every checkpoint read."""
+
+    def load(name, fast):
+        return replace(
+            tiny_trained_entry, model=copy.deepcopy(tiny_trained_entry.model)
+        )
+
+    monkeypatch.setattr(common, "load_trained_model", load)
 
 
 def seed_cache(*names: str) -> dict[str, FakeHarness]:
@@ -49,57 +52,56 @@ def seed_cache(*names: str) -> dict[str, FakeHarness]:
     return harnesses
 
 
-def test_clear_defers_close_for_leased_harness(pristine_cache):
+def test_eviction_drops_harness_without_closing(pristine_cache, monkeypatch):
+    monkeypatch.setattr(common, "HARNESS_CACHE_LIMIT", 1)
     harnesses = seed_cache("a", "b")
-    leased = common.acquire_harness("a", "fast")  # cache hit, no build
-    assert leased is harnesses["a"]
+    # Touching "b" trims the LRU to one entry, evicting "a".
+    assert common.get_harness("b", "fast") is harnesses["b"]
+    assert list(common._HARNESS_CACHE) == [("b", "fast")]
+    assert harnesses["a"].closed == 0
+
+
+def test_clear_drops_harnesses_without_closing(pristine_cache):
+    harnesses = seed_cache("a", "b")
     common.clear_harness_cache()
-    # The un-leased harness closes immediately; the leased one is deferred.
-    assert harnesses["b"].closed == 1
-    assert harnesses["a"].closed == 0
-    common.release_harness(leased)
-    assert harnesses["a"].closed == 1
+    assert not common._HARNESS_CACHE
+    assert all(harness.closed == 0 for harness in harnesses.values())
 
 
-def test_eviction_defers_close_until_release(pristine_cache, monkeypatch):
-    monkeypatch.setenv("REPRO_HARNESS_CACHE_LIMIT", "1")
-    harnesses = seed_cache("a")
-    leased = common.acquire_harness("a", "fast")
-    seed_cache("b")
-    # Touching "b" trims the LRU to one entry, evicting the leased "a".
-    assert common.acquire_harness("b", "fast") is not leased
-    assert ("a", "fast") not in common._HARNESS_CACHE
-    assert harnesses["a"].closed == 0  # still leased: close deferred
-    common.release_harness(leased)
-    assert harnesses["a"].closed == 1
-    common.release_harness(common._HARNESS_CACHE[("b", "fast")])
+def test_trained_model_is_not_the_harness_model(tiny_zoo):
+    harness = common.get_harness("tinynet", "fast")
+    trained = common.get_trained_model("tinynet", "fast")
+    assert trained.model is not harness.trained.model
+    assert not any(
+        hasattr(module.matmul_fn, "prepare_input")
+        for module in trained.model.modules()
+        if hasattr(module, "matmul_fn")
+    )
+    # A Table I MAC-count probe on it leaves the harness's counters alone.
+    model_mac_counts(
+        trained.model, image_size=trained.dataset.config.image_size
+    )
+    assert not any(harness.qmodel.collect_stats().values())
 
 
-def test_nested_leases_close_only_after_last_release(pristine_cache):
-    harnesses = seed_cache("a")
-    first = common.acquire_harness("a", "fast")
-    second = common.acquire_harness("a", "fast")
-    assert first is second
-    common.clear_harness_cache()
-    common.release_harness(first)
-    assert harnesses["a"].closed == 0  # one lease still out
-    common.release_harness(second)
-    assert harnesses["a"].closed == 1
-
-
-def test_release_of_cached_harness_does_not_close(pristine_cache):
-    harnesses = seed_cache("a")
-    leased = common.acquire_harness("a", "fast")
-    common.release_harness(leased)
-    # Still cached: nothing was deferred, so nothing closes.
-    assert harnesses["a"].closed == 0
-    assert ("a", "fast") in common._HARNESS_CACHE
-
-
-def test_discard_inherited_state_drops_leases_without_closing(pristine_cache):
-    harnesses = seed_cache("a")
-    common.acquire_harness("a", "fast")
-    common.discard_inherited_state()
-    assert harnesses["a"].closed == 0
-    assert not common._HARNESS_LEASES
-    assert not common._DEFERRED_CLOSE
+def test_replica_keeps_serving_an_evicted_harness(tiny_zoo, monkeypatch):
+    monkeypatch.setattr(common, "HARNESS_CACHE_LIMIT", 1)
+    replica = InlineReplica(
+        ModelSpec(name="tinynet", model="resnet18", threads=2, policy="S+A"),
+        lambda spec: common.get_harness("tinynet", "fast"),
+        warm=False,
+    )
+    images = replica.harness.eval_images[:4]
+    before, _ = replica.infer(images)
+    common.get_harness("other", "fast")  # evicts the replica's harness
+    assert ("tinynet", "fast") not in common._HARNESS_CACHE
+    qmodel = replica.harness.qmodel
+    assert all(
+        layer.module.matmul_fn is layer.hook for layer in qmodel.layers.values()
+    )
+    after, _ = replica.infer(images)
+    replica.close()
+    np.testing.assert_array_equal(after, before)
+    with qmodel.float_execution():
+        float_logits = qmodel.model(images)
+    assert not np.array_equal(after, float_logits)

@@ -215,15 +215,13 @@ def test_single_cpu_budget_runs_serially(tmp_path, monkeypatch):
 
 
 @pytest.fixture
-def tiny_zoo(monkeypatch, tiny_harness, tiny_trained_entry):
+def tiny_zoo(monkeypatch, tiny_harness):
     """Expose the session-scoped tiny harness as zoo model ``tinynet``."""
     harness_cache = OrderedDict({("tinynet", "fast"): tiny_harness})
-    model_cache = OrderedDict({("tinynet", "fast"): tiny_trained_entry})
     monkeypatch.setattr(common, "_HARNESS_CACHE", harness_cache)
-    monkeypatch.setattr(common, "_MODEL_CACHE", model_cache)
-    # Workers must keep the injected caches (there is no real zoo entry to
+    # Workers must keep the injected cache (there is no real zoo entry to
     # rebuild from); the production reset is covered by its own test.
-    monkeypatch.setattr(common, "discard_inherited_state", lambda: None)
+    monkeypatch.setattr(common, "clear_harness_cache", lambda: None)
     return tiny_harness
 
 
@@ -276,40 +274,28 @@ class _FakeHarness:
         self.closed = True
 
 
-def test_harness_cache_bounded_eviction_closes(monkeypatch):
+def test_harness_cache_bounded_eviction_drops(monkeypatch):
     cache = OrderedDict()
     fakes = {name: _FakeHarness() for name in "abc"}
     for name, fake in fakes.items():
         cache[(name, "fast")] = fake
     monkeypatch.setattr(common, "_HARNESS_CACHE", cache)
-    monkeypatch.setattr(common, "_MODEL_CACHE", OrderedDict())
-    monkeypatch.setenv("REPRO_HARNESS_CACHE_LIMIT", "2")
+    monkeypatch.setattr(common, "HARNESS_CACHE_LIMIT", 2)
 
     # A cache hit refreshes recency and evicts down to the limit.
     harness = common.get_harness("b", "fast")
     assert harness is fakes["b"]
-    assert fakes["a"].closed and not fakes["b"].closed and not fakes["c"].closed
     assert list(cache) == [("c", "fast"), ("b", "fast")]
 
     common.clear_harness_cache()
-    assert all(fake.closed for fake in fakes.values())
     assert not cache
-
-
-def test_discard_inherited_state_drops_without_closing(monkeypatch):
-    fake = _FakeHarness()
-    monkeypatch.setattr(
-        common, "_HARNESS_CACHE", OrderedDict({("a", "fast"): fake})
-    )
-    monkeypatch.setattr(common, "_MODEL_CACHE", OrderedDict({("a", "fast"): 1}))
-    common.discard_inherited_state()
-    assert not common._HARNESS_CACHE and not common._MODEL_CACHE
-    assert not fake.closed  # parent's hook state must stay untouched
+    # The harnesses own their models outright: nothing is closed.
+    assert not any(fake.closed for fake in fakes.values())
 
 
 def test_closed_harness_reinstalls_hooks_on_next_use(tiny_harness):
     before = tiny_harness.evaluate_nbsmt(threads=2, collect_stats=False)
-    tiny_harness.close()  # e.g. evicted or cleared mid-sweep
+    tiny_harness.close()
     after = tiny_harness.evaluate_nbsmt(threads=2, collect_stats=False)
     assert after.accuracy == before.accuracy
 

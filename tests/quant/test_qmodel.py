@@ -102,3 +102,24 @@ def test_nbsmt_engine_changes_outputs_but_not_catastrophically(calibrated):
     # The perturbation is bounded: predictions mostly agree.
     agreement = (exact_logits.argmax(1) == noisy_logits.argmax(1)).mean()
     assert agreement >= 0.7
+
+
+def test_second_wrapper_over_a_wrapped_model_raises(calibrated):
+    entry, calibration = calibrated
+    with QuantizedModel(entry.model, calibration) as qmodel:
+        hooks = {name: layer.hook for name, layer in qmodel.layers.items()}
+        with pytest.raises(ValueError, match="quantization hook"):
+            QuantizedModel(entry.model, calibration)
+        # The refused wrapper left the installed hooks in place.
+        for name, layer in qmodel.layers.items():
+            assert layer.module.matmul_fn is hooks[name]
+    # Once removed, the model takes a new wrapper.
+    QuantizedModel(entry.model, calibration).remove()
+
+
+def test_calibrating_a_wrapped_model_raises(calibrated):
+    entry, calibration = calibrated
+    images = entry.dataset.calibration_batch(48)
+    with QuantizedModel(entry.model, calibration):
+        with pytest.raises(ValueError, match="quantization hook"):
+            calibrate_model(entry.model, images, batch_size=48)

@@ -11,7 +11,6 @@ def direct_reference(harness, images, threads=2, policy="S+A"):
     """What a fresh engine produces for the same images, harness-style."""
     engine = NBSMTEngine(policy, collect_stats=True)
     qmodel = harness.qmodel
-    qmodel.ensure_installed()
     qmodel.set_threads(threads)
     harness.clear_permutations()
     qmodel.set_engine(engine)
@@ -25,19 +24,15 @@ def direct_reference_fixture():
 
 
 class TinyHarnessProvider:
-    """Hands out the session-scoped tiny harness; counts leases."""
+    """Hands out the session-scoped tiny harness; counts the calls."""
 
     def __init__(self, harness):
         self.harness = harness
-        self.acquired = 0
-        self.released = 0
+        self.calls = 0
 
-    def acquire(self, spec):
-        self.acquired += 1
+    def __call__(self, spec):
+        self.calls += 1
         return self.harness
-
-    def release(self, harness):
-        self.released += 1
 
 
 @pytest.fixture

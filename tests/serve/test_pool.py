@@ -102,13 +102,13 @@ def test_replica_reasserts_config_after_harness_drift(
     assert np.array_equal(logits, expected_logits)
 
 
-def test_replica_releases_lease_on_close(tiny_harness, tiny_provider):
+def test_replica_takes_one_harness_and_close_is_idempotent(
+    tiny_harness, tiny_provider
+):
     replica = InlineReplica(tiny_spec(), tiny_provider, warm=False)
-    assert tiny_provider.acquired == 1
-    assert tiny_provider.released == 0
+    assert tiny_provider.calls == 1
     replica.close()
     replica.close()  # idempotent
-    assert tiny_provider.released == 1
     with pytest.raises(RuntimeError, match="closed"):
         replica.infer(tiny_harness.eval_images[:1])
 
@@ -133,7 +133,7 @@ def test_pool_runner_splits_batches_per_request(
 def test_replica_set_respawns_dead_forked_worker(tiny_harness, tiny_provider):
     from repro.serve.pool import ReplicaSet
 
-    replica = ForkedReplica(tiny_spec(), tiny_provider, warm=False)
+    replica = ForkedReplica(tiny_spec(), tiny_provider)
     replica_set = ReplicaSet([replica])
     images = tiny_harness.eval_images[:2]
     expected, _ = replica_set.infer(images)
@@ -156,7 +156,7 @@ def test_forked_replica_matches_inline(tiny_harness, tiny_provider):
     inline = InlineReplica(spec, tiny_provider, warm=True)
     expected_logits, expected_stats = inline.infer(images)
     inline.close()
-    forked = ForkedReplica(spec, tiny_provider, warm=True)
+    forked = ForkedReplica(spec, tiny_provider)
     try:
         logits, layer_stats = forked.infer(images)
     finally:
@@ -196,7 +196,6 @@ def test_pool_builds_ladder_and_swaps_operating_points(
         # Bit-identical to a direct engine run at this rung's assignment.
         engine = NBSMTEngine("S+A", collect_stats=True)
         qmodel = tiny_harness.qmodel
-        qmodel.ensure_installed()
         qmodel.set_threads(dict(point.threads))
         tiny_harness.clear_permutations()
         qmodel.set_engine(engine)
@@ -275,7 +274,7 @@ def test_forked_replica_swaps_points_and_respawn_keeps_them(
     ladder = pool.ladder(spec.name)
     images = tiny_harness.eval_images[:3]
 
-    replica = ForkedReplica(spec, tiny_provider, warm=False)
+    replica = ForkedReplica(spec, tiny_provider)
     replica_set = ReplicaSet([replica])
     replica.set_operating_point(ladder[1])
     logits_fast, _, level = replica_set.infer_ex(images)
@@ -310,7 +309,7 @@ def test_point_swap_survives_a_dead_forked_worker(tiny_harness, tiny_provider):
     ladder = pool.ladder(spec.name)
     images = tiny_harness.eval_images[:2]
 
-    replica = ForkedReplica(spec, tiny_provider, warm=False)
+    replica = ForkedReplica(spec, tiny_provider)
     replica_set = ReplicaSet([replica])
     replica._process.kill()
     replica._process.join(timeout=10)

@@ -258,15 +258,12 @@ def test_http_adaptive_endpoint_degrades_and_recovers(
     )
     pool = EnginePool(registry, provider=tiny_provider, warm=True)
     monkeypatch.setattr(serve_server, "_QOS_TICK_S", 0.05)
+    monkeypatch.setattr(
+        serve_server, "_QOS_CONFIG",
+        QoSConfig(degrade_after_s=0.1, recover_after_s=0.3, cooldown_s=0.15),
+    )
     server = serve_server.NBSMTServer(
-        registry,
-        serve_server.ServeConfig(port=0),
-        pool=pool,
-        qos=QoSConfig(
-            degrade_after_s=0.1,
-            recover_after_s=0.3,
-            cooldown_s=0.15,
-        ),
+        registry, serve_server.ServeConfig(port=0), pool=pool
     )
 
     loop = asyncio.new_event_loop()
