@@ -447,14 +447,13 @@ class ClockPerturber:
     def wrap_runner(self, runner):
         """``runner`` plus a seeded pre-execution delay per batch.
 
-        Forwards keywords such as the batcher's ``trace=`` carrier: a
-        batcher decides when it is built whether its runner takes one.
+        Forwards the batcher's ``trace=`` carrier.
         """
 
-        def perturbed(payloads, **kwargs):
+        def perturbed(payloads, trace=None):
             delay = self.rng.uniform(0.0, self.max_delay_s)
             if delay > 0:
                 time.sleep(delay)
-            return runner(payloads, **kwargs)
+            return runner(payloads, trace=trace)
 
         return perturbed

@@ -30,9 +30,6 @@ from repro.core.smt import SMTStatistics
 #: State inherited by forked workers; set immediately before the pool forks.
 _WORKER_STATE: dict | None = None
 
-#: True inside a forked sweep worker process (set by :func:`run_worklists`).
-IN_POOL_WORKER = False
-
 
 def fork_available() -> bool:
     """Whether fork-based worker processes can be used on this platform."""
@@ -90,9 +87,7 @@ def partition_worklists(weights: list[float], bins: int) -> list[list[int]]:
     return [worklist for worklist in assignment if worklist]
 
 
-def _worklist_main(thunks, initializer, finalizer) -> None:
-    global IN_POOL_WORKER
-    IN_POOL_WORKER = True
+def _worklist_main(thunks, initializer) -> None:
     # Forked workers inherit the parent's telemetry bus: drop its
     # subscribers (ticker/dashboard callbacks belong to the parent) but
     # keep the spool sink, which lazily reopens a per-pid file -- worker
@@ -102,8 +97,8 @@ def _worklist_main(thunks, initializer, finalizer) -> None:
     telemetry_bus.get_bus().reset_after_fork(role="sweep-worker")
     # Graceful shutdown: SIGINT/SIGTERM ask the worker to *drain* -- the
     # thunk in flight completes (and persists its point), the remaining
-    # thunks are skipped, and the finalizer still runs its cleanup instead
-    # of the process being ripped out from under it.
+    # thunks are skipped, and the worker exits cleanly instead of being
+    # ripped out from under its thunk.
     stop_requested = False
 
     def _request_stop(signum, frame):
@@ -124,54 +119,37 @@ def _worklist_main(thunks, initializer, finalizer) -> None:
                 break
             thunk()
     finally:
-        if finalizer is not None:
-            finalizer()
         telemetry_bus.publish("worker_exited", drained=stop_requested)
 
 
-def run_worklists(
-    worklists: list[list],
-    initializer=None,
-    finalizer=None,
-    remote_nodes=None,
-) -> list[bool]:
+def run_worklists(worklists: list[list], initializer=None) -> list[bool]:
     """Run each worklist of thunks serially inside one forked worker process.
 
     Workers are forked (copy-on-write), so thunks may close over arbitrary
     parent state; they communicate results through side effects visible to
     the parent (e.g. files).  ``initializer`` runs once per worker before its
-    thunks (e.g. to drop state inherited from the parent); ``finalizer``
-    runs once per worker after them, even when the worker is asked to stop.
-    Returns one success flag per worklist; a worker that crashed or raised
-    reports ``False``, and the caller is expected to degrade to running its
-    missing work serially.
-
-    ``remote_nodes`` is the multi-machine seam: anything with a ``drain()``
-    method (a :class:`repro.cluster.worker.SweepHub`) holding work leased
-    to processes on *other* machines.  After the local forks are joined,
-    the remote work is drained under the same contract -- a dead remote
-    node abandons its leases and the caller recomputes what is missing,
-    exactly as for a crashed fork worker.
+    thunks (e.g. to drop state inherited from the parent).  Returns one
+    success flag per worklist; a worker that crashed or raised reports
+    ``False``, and the caller is expected to degrade to running its missing
+    work serially.
 
     Shutdown is graceful at both levels: a worker receiving SIGINT/SIGTERM
-    finishes its in-flight thunk, skips the rest, runs the finalizer and
-    exits cleanly; a ``KeyboardInterrupt`` in the joining parent forwards
-    SIGTERM to the still-running workers, waits for them to drain (bounded),
-    and escalates to SIGKILL only for stragglers -- no orphaned forks.
+    finishes its in-flight thunk, skips the rest and exits cleanly; a
+    ``KeyboardInterrupt`` in the joining parent forwards SIGTERM to the
+    still-running workers, waits for them to drain (bounded), and escalates
+    to SIGKILL only for stragglers -- no orphaned forks.
     """
     context = multiprocessing.get_context("fork")
     processes = []
     for worklist in worklists:
         process = context.Process(
-            target=_worklist_main, args=(worklist, initializer, finalizer)
+            target=_worklist_main, args=(worklist, initializer)
         )
         process.start()
         processes.append(process)
     try:
         for process in processes:
             process.join()
-        if remote_nodes is not None:
-            remote_nodes.drain()
     except BaseException:
         _drain_processes(processes)
         raise

@@ -485,7 +485,7 @@ def run_sweep(
             # to the serial path, never fails it.
             if groups:
                 hub.offer(groups)
-                parallel.run_worklists([], remote_nodes=hub)
+                hub.drain()
         else:
             pool, inner = parallel.plan_worker_allocation(
                 session.workers, len(groups), session.cpu_count

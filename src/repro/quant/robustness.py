@@ -11,12 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.precision import (
-    act_fits_4bit,
-    reduce_act_to_4bit_msb,
-    reduce_wgt_to_4bit_msb,
-    wgt_fits_4bit,
-)
+from repro.core.packing import act_reduction_delta, wgt_reduction_delta
+from repro.core.policies import get_policy
 from repro.quant.engine import LayerContext, exact_int_matmul
 
 #: The operating points of Fig. 7, as (reduce_activations, reduce_weights).
@@ -33,7 +29,9 @@ class ReducedPrecisionEngine:
 
     Values that already fit in 4 bits are untouched (they are exactly
     representable by the 4-bit path); wider values are rounded to the nearest
-    multiple of 16 and truncated to their MSBs, exactly as the PE does.
+    multiple of 16 and truncated to their MSBs, exactly as the PE does.  The
+    reduction is the NB-SMT kernels' own data-width delta (policies ``A`` and
+    ``W``), so the rounding has one definition.
     """
 
     def __init__(self, reduce_activations: bool, reduce_weights: bool):
@@ -54,9 +52,9 @@ class ReducedPrecisionEngine:
         x_eff = x_q
         w_eff = w_q
         if self.reduce_activations:
-            x_eff = np.where(act_fits_4bit(x_q), x_q, reduce_act_to_4bit_msb(x_q))
+            x_eff = x_q + act_reduction_delta(x_q, get_policy("A"))
         if self.reduce_weights:
-            w_eff = np.where(wgt_fits_4bit(w_q), w_q, reduce_wgt_to_4bit_msb(w_q))
+            w_eff = w_q + wgt_reduction_delta(w_q, get_policy("W"))
         ctx.add_stat("macs", x_q.shape[0] * x_q.shape[1] * w_q.shape[1])
         return exact_int_matmul(x_eff, w_eff)
 

@@ -38,7 +38,7 @@ harness directly (same engines, same statistics); the test suite pins this
 -- per throttle-ladder rung -- via the golden-trace conformance suite.
 """
 
-from repro.serve.batcher import BatcherClosed, BatchReport, DynamicBatcher, QueueFull
+from repro.serve.batcher import BatcherClosed, BatchReport, DynamicBatcher
 from repro.serve.metrics import EndpointMetrics, LatencyHistogram, MetricsRegistry
 from repro.serve.pool import EnginePool, ForkedReplica, InlineReplica
 from repro.serve.qos import (
@@ -68,7 +68,6 @@ __all__ = [
     "NBSMTServer",
     "QoSConfig",
     "QoSController",
-    "QueueFull",
     "ServeConfig",
     "ServeRegistry",
     "Transition",

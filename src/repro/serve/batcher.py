@@ -24,7 +24,7 @@ Requests may also carry a :class:`~repro.serve.deadline.Deadline`.  An
 expired request is cancelled at batch-assembly time -- *before* engine
 compute -- by resolving its future with
 :class:`~repro.serve.deadline.DeadlineExceeded` and counting it
-(``expired_requests`` / ``expired_images``, plus the ``on_expire`` hook).
+(``expired_requests`` / ``expired_images``).
 Under overload this is the difference between goodput and busywork: the
 engine's scarce capacity goes to requests whose clients are still
 waiting, never to the dead.
@@ -36,7 +36,6 @@ The batcher is synchronous at its core (``submit`` returns a
 
 from __future__ import annotations
 
-import inspect
 import queue as queue_module
 import threading
 import time
@@ -49,10 +48,6 @@ from repro.telemetry.tracing import new_span_id
 
 class BatcherClosed(RuntimeError):
     """Raised by :meth:`DynamicBatcher.submit` after :meth:`close`."""
-
-
-class QueueFull(RuntimeError):
-    """Raised by :meth:`DynamicBatcher.submit` when ``max_queue`` is hit."""
 
 
 @dataclass
@@ -86,35 +81,30 @@ _STOP = object()
 class DynamicBatcher:
     """Coalesces submitted requests and executes them through ``runner``.
 
+    Packing is earliest-deadline-first: when the gathered candidates exceed
+    one batch, the ones with the least deadline slack are packed first and
+    the rest are carried to the next batch -- under overload the engine's
+    capacity goes to the requests closest to dying, which would otherwise
+    expire while younger, roomier requests computed.  Requests without
+    deadlines sort last (infinite slack); the sort is stable, so traffic
+    without deadlines packs in arrival order.  The queue itself is
+    unbounded: admission control lives in front of the batcher
+    (:class:`repro.serve.registry.AdmissionController`).
+
     Parameters
     ----------
     runner:
-        ``runner(payloads) -> results``: executes one batch, returning one
-        result per payload, in order.  Runs on the batcher's worker thread.
+        ``runner(payloads, trace=carrier) -> results``: executes one batch,
+        returning one result per payload, in order.  Runs on the batcher's
+        worker thread.  ``carrier`` is a dict the runner may fill with
+        engine timing when the batch carries a traced request, ``None``
+        otherwise.
     max_batch:
         Image budget per engine call (a single larger request still runs,
         alone).
-    max_queue:
-        Optional bound on queued images; ``0`` means unbounded (admission
-        control normally lives in front of the batcher, see
-        :class:`repro.serve.registry.AdmissionController`).
     on_batch:
         Optional hook called with a :class:`BatchReport` after each batch
         executes (before request futures resolve).
-    on_expire:
-        Optional hook called with each expired :class:`BatchRequest` as it
-        is cancelled (after its future resolves with
-        :class:`~repro.serve.deadline.DeadlineExceeded`).
-    edf:
-        Earliest-deadline-first packing (the default).  When the gathered
-        candidates exceed one batch, the ones with the least deadline
-        slack are packed first and the rest are carried to the next batch
-        -- under overload the engine's capacity goes to the requests
-        closest to dying, which would otherwise expire while younger,
-        roomier requests computed.  Requests without deadlines sort last
-        (infinite slack); a workload with no deadlines at all packs in
-        arrival order, bit-identically to ``edf=False`` (the sort is
-        stable and every key ties).
     clock:
         Monotonic clock used for every expiry decision; injectable so
         chaos tests drive deadlines deterministically.
@@ -141,13 +131,10 @@ class DynamicBatcher:
         runner,
         *,
         max_batch: int = 32,
-        max_queue: int = 0,
         on_batch=None,
-        on_expire=None,
         workers: int = 1,
         autostart: bool = True,
         name: str = "batcher",
-        edf: bool = True,
         clock=time.monotonic,
         tracer=None,
     ):
@@ -157,22 +144,8 @@ class DynamicBatcher:
             raise ValueError("workers must be >= 1")
         self.runner = runner
         self.tracer = tracer
-        # Does the runner accept a ``trace=`` carrier?  Decided once here
-        # so plain ``lambda payloads: ...`` runners (tests, benchmarks)
-        # keep working untouched.
-        try:
-            params = inspect.signature(runner).parameters
-            self._runner_takes_trace = "trace" in params or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD
-                for p in params.values()
-            )
-        except (TypeError, ValueError):  # pragma: no cover - builtins
-            self._runner_takes_trace = False
         self.max_batch = int(max_batch)
-        self.max_queue = int(max_queue)
         self.on_batch = on_batch
-        self.on_expire = on_expire
-        self.edf = bool(edf)
         self.workers = int(workers)
         self.name = name
         self.clock = clock
@@ -271,11 +244,6 @@ class DynamicBatcher:
         with self._lock:
             if self._closed:
                 raise BatcherClosed(f"{self.name} is closed")
-            if self.max_queue and self._pending_images + request.size > self.max_queue:
-                raise QueueFull(
-                    f"{self.name}: {self._pending_images} images queued "
-                    f"(max_queue={self.max_queue})"
-                )
             self._pending_images += request.size
             self._queue.put(request)
         return request.future
@@ -308,11 +276,6 @@ class DynamicBatcher:
                 start=time.time() - wait_s, duration_s=wait_s,
                 status="expired", batcher=self.name, images=request.size,
             )
-        if self.on_expire is not None:
-            try:
-                self.on_expire(request)
-            except Exception:  # noqa: BLE001 - hooks never break the worker
-                pass
 
     # -- worker ------------------------------------------------------------
     def _worker(self) -> None:
@@ -347,10 +310,10 @@ class DynamicBatcher:
         over from the previous batch) is consumed first, then whatever is
         already queued, until the image budget is met or the queue is
         empty.  Packing then chooses which gathered candidates actually
-        ride: earliest-deadline-first when ``edf`` is set, arrival order
-        otherwise; either way packing stops at the first candidate that
-        does not fit, and it plus everything after it carries to the next
-        batch in order.
+        ride, earliest deadline first (a stable sort: ties keep arrival
+        order); packing stops at the first candidate that does not fit,
+        and it plus everything after it carries to the next batch in
+        order.
         """
         candidates = [first]
         images = first.size
@@ -375,17 +338,15 @@ class DynamicBatcher:
                 continue
             candidates.append(item)
             images += item.size
-        order = candidates
-        if self.edf:
-            now = self.clock()
-            order = sorted(
-                candidates,
-                key=lambda request: (
-                    request.deadline.at - now
-                    if request.deadline is not None
-                    else float("inf")
-                ),
-            )
+        now = self.clock()
+        order = sorted(
+            candidates,
+            key=lambda request: (
+                request.deadline.at - now
+                if request.deadline is not None
+                else float("inf")
+            ),
+        )
         batch: list[BatchRequest] = []
         packed = 0
         carry: list[BatchRequest] = []
@@ -413,10 +374,7 @@ class DynamicBatcher:
         carrier: dict | None = {} if traced else None
         try:
             payloads = [request.payload for request in batch]
-            if carrier is not None and self._runner_takes_trace:
-                results = self.runner(payloads, trace=carrier)
-            else:
-                results = self.runner(payloads)
+            results = self.runner(payloads, trace=carrier)
             if len(results) != len(batch):
                 raise RuntimeError(
                     f"{self.name}: runner returned {len(results)} results "

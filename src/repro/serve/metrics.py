@@ -22,26 +22,26 @@ from repro.core.smt import SMTStatistics
 _LATENCY_MIN = 1e-6
 _LATENCY_MAX = 120.0
 _BUCKETS_PER_DECADE = 25
+#: Samples the sliding latency window keeps, and the age past which a
+#: sample no longer counts towards the recent p99 and rates.
+_RECENT_WINDOW = 256
+_RECENT_MAX_AGE_S = 10.0
 
 
 class LatencyHistogram:
     """Geometric latency histogram with quantile estimation.
 
-    Bucket upper bounds grow by ``10 ** (1 / buckets_per_decade)`` (~9.6%
-    steps), so a quantile estimate is within one bucket width of the true
-    order statistic.  Counts, the sum and the min/max are tracked exactly.
+    Bucket upper bounds grow by ``10 ** (1 / 25)`` (~9.6% steps), so a
+    quantile estimate is within one bucket width of the true order
+    statistic.  Counts, the sum and the min/max are tracked exactly.
     """
 
-    def __init__(
-        self,
-        low: float = _LATENCY_MIN,
-        high: float = _LATENCY_MAX,
-        buckets_per_decade: int = _BUCKETS_PER_DECADE,
-    ):
-        self.low = low
-        self.ratio = 10.0 ** (1.0 / buckets_per_decade)
+    def __init__(self):
+        self.low = _LATENCY_MIN
+        self.ratio = 10.0 ** (1.0 / _BUCKETS_PER_DECADE)
         self._log_ratio = math.log(self.ratio)
-        num = int(math.ceil(math.log(high / low) / self._log_ratio)) + 1
+        span = math.log(_LATENCY_MAX / self.low) / self._log_ratio
+        num = int(math.ceil(span)) + 1
         self.counts = [0] * (num + 1)  # +1 overflow bucket
         self.count = 0
         self.sum = 0.0
@@ -139,7 +139,6 @@ class EndpointMetrics:
         name: str,
         batch_capacity: int = 1,
         latency_budget_ms: float = 0.0,
-        recent_window: int = 256,
     ):
         self.name = name
         self.batch_capacity = max(1, int(batch_capacity))
@@ -165,7 +164,7 @@ class EndpointMetrics:
         #: out by time too, or an idle endpoint would stare at its
         #: overload-era p99 forever and never recover.
         self.recent_latencies: deque[tuple[float, float, int]] = deque(
-            maxlen=max(8, recent_window)
+            maxlen=_RECENT_WINDOW
         )
         #: Images served per ladder rung, plus the current rung gauge.
         self.points_served: dict[int, int] = {}
@@ -237,14 +236,14 @@ class EndpointMetrics:
             self.transitions += 1
             self.recent_transitions.append(transition.describe())
 
-    def recent_p99(self, max_age_s: float = 10.0) -> float:
+    def recent_p99(self) -> float:
         """The p99 of the sliding latency window (the QoS signal).
 
-        Entries older than ``max_age_s`` are ignored: the signal must go
-        quiet when traffic does, or recovery would wait forever on a p99
-        frozen at its overload-era value.
+        Entries older than ``_RECENT_MAX_AGE_S`` are ignored: the signal
+        must go quiet when traffic does, or recovery would wait forever on
+        a p99 frozen at its overload-era value.
         """
-        horizon = time.monotonic() - max_age_s
+        horizon = time.monotonic() - _RECENT_MAX_AGE_S
         with self._lock:
             ordered = sorted(
                 entry[1]
@@ -256,7 +255,7 @@ class EndpointMetrics:
         index = min(len(ordered) - 1, int(math.ceil(0.99 * len(ordered))) - 1)
         return ordered[max(0, index)]
 
-    def recent_rates(self, window_s: float = 10.0) -> dict:
+    def recent_rates(self) -> dict:
         """Request and goodput rates over the sliding latency window.
 
         Goodput counts requests whose latency fit the endpoint's budget;
@@ -264,13 +263,14 @@ class EndpointMetrics:
         by the telemetry health tick -- the dashboard shows *recent*
         behaviour, not lifetime averages.
 
-        The sliding window holds at most ``recent_window`` samples; when
-        it is full the effective window shrinks to the span the retained
-        samples actually cover, so high-traffic endpoints report their
-        true rate instead of a ``recent_window / window_s`` plateau.
+        The window spans ``_RECENT_MAX_AGE_S`` and holds at most
+        ``_RECENT_WINDOW`` samples; when it is full the effective window
+        shrinks to the span the retained samples actually cover, so
+        high-traffic endpoints report their true rate instead of a
+        ``_RECENT_WINDOW / _RECENT_MAX_AGE_S`` plateau.
         """
         now = time.monotonic()
-        horizon = now - window_s
+        horizon = now - _RECENT_MAX_AGE_S
         budget_s = (
             self.latency_budget_ms / 1000.0 if self.latency_budget_ms else None
         )

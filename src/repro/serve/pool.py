@@ -9,7 +9,8 @@ pre-configured :class:`~repro.core.engine.NBSMTEngine` whose executors,
 lookup tables and weight-quantization caches are primed by a warm-up
 forward pass before the endpoint goes live.
 
-Two replica flavors share one interface:
+Two replica flavors share one interface, ``infer(images, trace=None) ->
+(logits, layer_stats, level)``:
 
 * :class:`InlineReplica` executes in-process (the default; on a single-CPU
   box nothing beats it).
@@ -122,9 +123,6 @@ class InlineReplica:
             for name, layer in qmodel.layers.items()
         }
 
-    def thread_assignment(self) -> dict[str, int]:
-        return self.harness.qmodel.thread_assignment()
-
     # -- operating point ---------------------------------------------------
     @property
     def level(self) -> int:
@@ -188,16 +186,9 @@ class InlineReplica:
             self._install()
 
     def infer(
-        self, images: np.ndarray
-    ) -> tuple[np.ndarray, dict[str, SMTStatistics]]:
-        """Run one batch; returns logits and the batch's per-layer stats."""
-        logits, layer_stats, _level = self.infer_ex(images)
-        return logits, layer_stats
-
-    def infer_ex(
         self, images: np.ndarray, trace: dict | None = None
     ) -> tuple[np.ndarray, dict[str, SMTStatistics], int]:
-        """Like :meth:`infer`, also reporting the rung that served the batch.
+        """Run one batch: its logits, per-layer stats and serving rung.
 
         Execution holds the shared model's lock, so endpoints aliased to
         the same zoo model serialize instead of corrupting each other, and
@@ -248,7 +239,6 @@ def _forked_replica_main(spec: ModelSpec, provider, conn) -> None:
     SIGTERM/SIGINT request a drain: the in-flight batch finishes and its
     response is sent before the engine is closed and the process exits.
     """
-    parallel.IN_POOL_WORKER = True
     # Inherited telemetry subscribers belong to the parent server process.
     telemetry_bus.get_bus().reset_after_fork(role="serve-replica")
     stop = {"requested": False}
@@ -286,7 +276,7 @@ def _forked_replica_main(spec: ModelSpec, provider, conn) -> None:
                     # this batch's trace will be kept (exemplars are
                     # retroactive).  The payload is a handful of floats.
                     carrier: dict = {}
-                    logits, layer_stats, level = replica.infer_ex(
+                    logits, layer_stats, level = replica.infer(
                         payload, trace=carrier
                     )
                     stats_payloads = {
@@ -416,18 +406,12 @@ class ForkedReplica:
             pass
 
     def infer(
-        self, images: np.ndarray
-    ) -> tuple[np.ndarray, dict[str, SMTStatistics]]:
-        logits, layer_stats, _level = self.infer_ex(images)
-        return logits, layer_stats
-
-    def infer_ex(
         self, images: np.ndarray, trace: dict | None = None
     ) -> tuple[np.ndarray, dict[str, SMTStatistics], int]:
-        reply = self._command("infer", images)
-        _, logits, payloads, level = reply[:4]
-        if trace is not None and len(reply) > 4 and reply[4] is not None:
-            trace["engine"] = reply[4]
+        """Run one batch in the worker (see :meth:`InlineReplica.infer`)."""
+        _, logits, payloads, level, engine = self._command("infer", images)
+        if trace is not None and engine is not None:
+            trace["engine"] = engine
         layer_stats = {
             name: SMTStatistics.from_payload(payload)
             for name, payload in payloads.items()
@@ -459,24 +443,16 @@ RESPAWN_RESET_S = 60.0
 
 
 class ReplicaSet:
-    """Replicas of one endpoint plus a blocking free-list dispatcher."""
+    """Replicas of one endpoint plus a blocking free-list dispatcher.
 
-    def __init__(
-        self,
-        replicas: list,
-        respawn_budget: int = RESPAWN_BUDGET,
-        respawn_backoff_s: float = RESPAWN_BACKOFF_S,
-        respawn_backoff_max_s: float = RESPAWN_BACKOFF_MAX_S,
-        respawn_reset_s: float = RESPAWN_RESET_S,
-        clock=time.monotonic,
-    ):
+    Dead forked workers are respawned within the ``RESPAWN_*`` bounds of
+    this module; ``clock`` times the backoff and reset windows.
+    """
+
+    def __init__(self, replicas: list, clock=time.monotonic):
         if not replicas:
             raise ValueError("a replica set needs at least one replica")
         self.replicas = replicas
-        self.respawn_budget = int(respawn_budget)
-        self.respawn_backoff_s = float(respawn_backoff_s)
-        self.respawn_backoff_max_s = float(respawn_backoff_max_s)
-        self.respawn_reset_s = float(respawn_reset_s)
         self._clock = clock
         self._replicas_lock = threading.Lock()
         self._respawn_counts = [0] * len(replicas)
@@ -488,23 +464,19 @@ class ReplicaSet:
         for replica in replicas:
             self._free.put(replica)
 
-    def infer(self, images: np.ndarray):
-        logits, layer_stats, _level = self.infer_ex(images)
-        return logits, layer_stats
-
-    def infer_ex(self, images: np.ndarray, trace: dict | None = None):
+    def infer(self, images: np.ndarray, trace: dict | None = None):
         """Run on the next free replica (blocks while all are busy).
 
         A replica whose worker process died is replaced by a fresh respawn
         before its slot returns to the free list, so one crash costs one
         failed batch, not a permanently broken slot.  A ``trace`` carrier
-        (see :meth:`InlineReplica.infer_ex`) additionally records which
+        (see :meth:`InlineReplica.infer`) additionally records which
         replica died under ``trace["respawn"]`` on the failure path, so a
         retried request's trace can annotate the respawn gap it survived.
         """
         replica = self._free.get()
         try:
-            result = replica.infer_ex(images, trace=trace)
+            result = replica.infer(images, trace=trace)
         except BaseException:
             if trace is not None:
                 process = getattr(replica, "_process", None)
@@ -570,7 +542,7 @@ class ReplicaSet:
             if slot in self._failed_slots:
                 return replica
             now = self._clock()
-            if now - self._last_respawn_at[slot] > self.respawn_reset_s:
+            if now - self._last_respawn_at[slot] > RESPAWN_RESET_S:
                 self._respawn_counts[slot] = 0
             if now < self._respawn_not_before[slot]:
                 # Inside the backoff window: hand the dead replica back so
@@ -579,14 +551,14 @@ class ReplicaSet:
             attempt = self._respawn_counts[slot] + 1
             self._respawn_counts[slot] = attempt
             self._last_respawn_at[slot] = now
-            if attempt > self.respawn_budget:
+            if attempt > RESPAWN_BUDGET:
                 self._failed_slots.add(slot)
                 failed_count = len(self._failed_slots)
                 newly_failed = True
             else:
                 self._respawn_not_before[slot] = now + min(
-                    self.respawn_backoff_max_s,
-                    self.respawn_backoff_s * 2 ** (attempt - 1),
+                    RESPAWN_BACKOFF_MAX_S,
+                    RESPAWN_BACKOFF_S * 2 ** (attempt - 1),
                 )
                 try:
                     fresh = replica.respawn()
@@ -601,7 +573,7 @@ class ReplicaSet:
                 "replica_failed",
                 endpoint=replica.spec.name,
                 slot=slot,
-                respawn_budget=self.respawn_budget,
+                respawn_budget=RESPAWN_BUDGET,
                 replicas=len(self.replicas),
                 failed_replicas=failed_count,
             )
@@ -671,13 +643,11 @@ class EnginePool:
         scale: str = "fast",
         fork_workers: int = 0,
         provider=None,
-        warm: bool = True,
     ):
         self.registry = registry
         self.scale = scale
         self.fork_workers = int(fork_workers)
         self.provider = provider or self._cached_harness
-        self.warm = warm
         self._sets: dict[str, ReplicaSet] = {}
         self._input_shapes: dict[str, tuple[int, ...]] = {}
         self._ladders: dict[str, OperatingLadder] = {}
@@ -712,7 +682,7 @@ class EnginePool:
         # The primary inline replica warms the harness in the parent; with
         # fork workers every forked child then inherits the calibrated
         # model copy-on-write instead of re-calibrating it.
-        primary = InlineReplica(spec, self.provider, warm=self.warm)
+        primary = InlineReplica(spec, self.provider)
         self._input_shapes[spec.name] = tuple(
             primary.harness.eval_images.shape[1:]
         )
@@ -884,7 +854,7 @@ class EnginePool:
                 images = payloads[0]
             else:
                 images = np.concatenate(payloads, axis=0)
-            logits, layer_stats, level = replica_set.infer_ex(
+            logits, layer_stats, level = replica_set.infer(
                 images, trace=trace
             )
             if metrics is not None:

@@ -41,6 +41,9 @@ from dataclasses import dataclass, field
 from repro.telemetry import bus as telemetry_bus
 from repro.utils.hysteresis import Hysteresis
 
+#: Transitions a controller keeps for its snapshot.
+_HISTORY = 64
+
 
 @dataclass(frozen=True)
 class QoSConfig:
@@ -117,7 +120,6 @@ class QoSController:
         num_levels: int,
         config: QoSConfig | None = None,
         clock=time.monotonic,
-        history: int = 64,
     ):
         if num_levels < 1:
             raise ValueError("a controller needs at least one ladder level")
@@ -132,7 +134,7 @@ class QoSController:
             self.config.cooldown_s,
         )
         self.transitions = 0
-        self.recent_transitions: deque[Transition] = deque(maxlen=history)
+        self.recent_transitions: deque[Transition] = deque(maxlen=_HISTORY)
 
     # -- state -------------------------------------------------------------
     @property

@@ -87,7 +87,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.serve.batcher import DynamicBatcher, QueueFull
+from repro.serve.batcher import DynamicBatcher
 from repro.serve.deadline import (
     DEADLINE_HEADER,
     IDEMPOTENCY_HEADER,
@@ -580,8 +580,8 @@ class NBSMTServer:
         Probes submit straight into the batcher -- deliberately past
         admission control, so a load-shedding endpoint still proves its
         compute path works -- and publish ``probe_result`` events that
-        feed the ``probe_failure`` rule.  A saturated batcher queue
-        (QueueFull) or an engine error both count as a failed probe.
+        feed the ``probe_failure`` rule.  An engine error or a timeout
+        counts as a failed probe.
         """
         bus = telemetry_bus.get_bus()
         for name in list(self.batchers):
@@ -1331,9 +1331,6 @@ class NBSMTServer:
                 inputs, size=images, deadline=deadline, trace=trace
             )
             logits, level = await asyncio.wrap_future(future)
-        except QueueFull as exc:
-            endpoint_metrics.record_rejection(images)
-            raise self._shed_error(name, str(exc)) from None
         except DeadlineExceeded:
             # The batcher cancelled this request before compute: a shed,
             # not a failure -- counted as an expiry, answered explicitly.

@@ -273,7 +273,6 @@ def _shard_main(
             peer_sock.close()
     os.register_at_fork(after_in_child=sock.close)
 
-    parallel.IN_POOL_WORKER = False
     telemetry_bus.get_bus().reset_after_fork(role="serve", shard=index)
     # The pre-cluster layout: shard-<i>.json and qos-shard-<i>.json side
     # by side at the root, the event spool under telemetry/.

@@ -224,7 +224,7 @@ def test_perturber_wrapped_runner_preserves_results():
     perturber = ClockPerturber(random.Random(6), max_delay_s=0.001)
     seen = []
 
-    def runner(payloads):
+    def runner(payloads, trace=None):
         seen.append(list(payloads))
         return [payload * 2 for payload in payloads]
 

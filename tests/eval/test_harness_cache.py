@@ -92,14 +92,14 @@ def test_replica_keeps_serving_an_evicted_harness(tiny_zoo, monkeypatch):
         warm=False,
     )
     images = replica.harness.eval_images[:4]
-    before, _ = replica.infer(images)
+    before, _, _ = replica.infer(images)
     common.get_harness("other", "fast")  # evicts the replica's harness
     assert ("tinynet", "fast") not in common._HARNESS_CACHE
     qmodel = replica.harness.qmodel
     assert all(
         layer.module.matmul_fn is layer.hook for layer in qmodel.layers.values()
     )
-    after, _ = replica.infer(images)
+    after, _, _ = replica.infer(images)
     replica.close()
     np.testing.assert_array_equal(after, before)
     with qmodel.float_execution():

@@ -36,9 +36,13 @@ def _run_t_pid(ctx, point):
     return {"pid": os.getpid(), "tag": point.param("tag")}
 
 
+#: The test process; a point evaluated anywhere else ran in a forked worker.
+_TEST_PID = os.getpid()
+
+
 @point_runner("t_crash")
 def _run_t_crash(ctx, point):
-    if parallel.IN_POOL_WORKER:
+    if os.getpid() != _TEST_PID:
         raise RuntimeError("synthetic worker failure")
     return {"value": point.param("value")}
 

@@ -3,6 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.precision import (
+    act_fits_4bit,
+    reduce_act_to_4bit_msb,
+    reduce_wgt_to_4bit_msb,
+    wgt_fits_4bit,
+)
 from repro.quant.baselines import (
     ACIQEngine,
     LBQEngine,
@@ -52,6 +58,26 @@ def test_a4w4_error_at_least_a4w8(pair):
         errors[point] = float(((out - exact) ** 2).mean())
     assert errors["A4W4"] >= errors["A4W8"] * 0.99
     assert errors["A4W4"] >= errors["A8W4"] * 0.99
+
+
+def test_reduction_matches_precision_reference_on_every_operand():
+    # All 256 activations and all 255 symmetric int8 weights: the engine's
+    # kernel-delta reduction equals the per-PE reference rounding.
+    acts = np.arange(256, dtype=np.uint8)
+    wgts = np.arange(-127, 128).astype(np.int8)
+    a4w4 = ReducedPrecisionEngine.from_point("A4W4")
+    ctx = LayerContext("l")
+    # Identity operands expose each reduced value in the product.
+    reduced_acts = a4w4.matmul(acts[:, None], np.ones((1, 1), np.int8), ctx)
+    reduced_wgts = a4w4.matmul(np.ones((1, 1), np.uint8), wgts[None, :], ctx)
+    expected_acts = np.where(
+        act_fits_4bit(acts), acts, reduce_act_to_4bit_msb(acts)
+    )
+    expected_wgts = np.where(
+        wgt_fits_4bit(wgts), wgts, reduce_wgt_to_4bit_msb(wgts)
+    )
+    assert np.array_equal(reduced_acts[:, 0], expected_acts)
+    assert np.array_equal(reduced_wgts[0], expected_wgts)
 
 
 def test_unknown_operating_point():

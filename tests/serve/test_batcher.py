@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.serve.batcher import BatcherClosed, DynamicBatcher, QueueFull
+from repro.serve.batcher import BatcherClosed, DynamicBatcher
 
 
 class RecordingRunner:
@@ -17,7 +17,7 @@ class RecordingRunner:
         self.batches: list[list] = []
         self.delay = delay
 
-    def __call__(self, payloads):
+    def __call__(self, payloads, trace=None):
         self.batches.append(list(payloads))
         if self.delay:
             time.sleep(self.delay)
@@ -74,7 +74,7 @@ def test_requests_queued_behind_a_busy_runner_ride_together_in_edf_order():
     release = threading.Event()
     batches: list[list] = []
 
-    def gated(payloads):
+    def gated(payloads, trace=None):
         batches.append(list(payloads))
         if len(batches) == 1:
             entered.set()
@@ -135,7 +135,7 @@ def test_oversized_request_runs_alone():
 
 
 def test_runner_error_propagates_to_every_request_of_the_batch():
-    def failing(payloads):
+    def failing(payloads, trace=None):
         raise ValueError("engine exploded")
 
     batcher = DynamicBatcher(failing, max_batch=4, autostart=False)
@@ -170,27 +170,6 @@ def test_close_without_drain_cancels_queued_requests():
     assert batcher.pending_images == 0
 
 
-def test_max_queue_rejects_when_full():
-    release = threading.Event()
-    entered = threading.Event()
-
-    def slow(payloads):
-        entered.set()
-        release.wait(5)
-        return list(payloads)
-
-    batcher = DynamicBatcher(slow, max_batch=1, max_queue=2)
-    first = batcher.submit(0)
-    assert entered.wait(5)  # worker is busy with the first request...
-    batcher.submit(1)  # ...so these two fill the queue budget
-    batcher.submit(2)
-    with pytest.raises(QueueFull):
-        batcher.submit(3)
-    release.set()
-    first.result(timeout=5)
-    batcher.close()
-
-
 def test_start_after_close_refuses():
     batcher = DynamicBatcher(RecordingRunner(), max_batch=2, autostart=False)
     batcher.close()
@@ -201,7 +180,7 @@ def test_start_after_close_refuses():
 def test_multiple_workers_execute_batches_concurrently():
     barrier = threading.Barrier(2, timeout=5)
 
-    def runner(payloads):
+    def runner(payloads, trace=None):
         barrier.wait()  # requires two batches in flight at once
         return list(payloads)
 
@@ -270,26 +249,30 @@ def test_edf_packs_least_slack_first_under_overflow():
     assert runner.batches == [["d", "b", "a"], ["c"]]
 
 
-def test_no_deadline_traffic_is_bit_identical_with_edf_off():
+def test_no_deadline_traffic_packs_in_arrival_order():
     sizes = [3, 2, 2, 1, 4, 1, 1, 2]
-    splits = {}
-    for edf in (True, False):
-        runner = RecordingRunner()
-        batcher = DynamicBatcher(
-            runner, max_batch=4, autostart=False, edf=edf
-        )
-        futures = [
-            batcher.submit(index, size=size)
-            for index, size in enumerate(sizes)
-        ]
-        batcher.start()
-        for future, _ in zip(futures, sizes):
-            future.result(timeout=5)
-        batcher.close()
-        splits[edf] = runner.batches
-    # EDF's sort is stable and every key ties at infinity: arrival-order
-    # packing, batch for batch.
-    assert splits[True] == splits[False]
-    assert [payload for batch in splits[True] for payload in batch] == list(
-        range(len(sizes))
-    )
+    runner = RecordingRunner()
+    batcher = DynamicBatcher(runner, max_batch=4, autostart=False)
+    futures = [
+        batcher.submit(index, size=size) for index, size in enumerate(sizes)
+    ]
+    batcher.start()
+    for future in futures:
+        future.result(timeout=5)
+    batcher.close()
+    # EDF's sort is stable and every key ties at infinity: each batch
+    # takes the next requests in arrival order until one does not fit.
+    assert runner.batches == [[0], [1, 2], [3], [4], [5, 6, 7]]
+
+
+def test_untraced_batch_calls_runner_with_trace_none():
+    calls = []
+
+    def runner(payloads, trace="not passed"):
+        calls.append(trace)
+        return list(payloads)
+
+    batcher = DynamicBatcher(runner, max_batch=4)
+    assert batcher.submit("x").result(timeout=5) == "x"
+    batcher.close()
+    assert calls == [None]

@@ -34,7 +34,7 @@ class BatcherMachine(RuleBasedStateMachine):
         self.batches: list[list[tuple[int, int]]] = []
         self.batches_lock = threading.Lock()
 
-        def runner(payloads):
+        def runner(payloads, trace=None):
             with self.batches_lock:
                 self.batches.append(list(payloads))
             return [("result", payload[0]) for payload in payloads]

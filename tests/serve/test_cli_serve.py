@@ -147,7 +147,6 @@ def _run_shards_inline(monkeypatch):
         multiprocessing, "get_context", lambda method: _InlineContext()
     )
     monkeypatch.setattr(os, "register_at_fork", lambda **kwargs: None)
-    monkeypatch.setattr(parallel, "IN_POOL_WORKER", parallel.IN_POOL_WORKER)
     monkeypatch.setattr(
         telemetry_bus.get_bus(), "reset_after_fork", lambda **kwargs: None
     )
@@ -312,7 +311,7 @@ def test_federated_server_keeps_remote_spool_and_local_rings(
         server = serve_server.NBSMTServer(
             registry,
             ServeConfig(telemetry_dir=str(tmp_path)),
-            pool=EnginePool(registry, provider=tiny_provider, warm=False),
+            pool=EnginePool(registry, provider=tiny_provider),
         )
         assert bus.spool_dir == sink.directory and not server._owns_spool
         assert server.history is not None
@@ -386,7 +385,7 @@ def test_server_reports_the_host_its_socket_is_bound_to(tiny_provider):
     registry.register(ModelSpec(name="tinynet", model="resnet18"))
     server = serve_server.NBSMTServer(
         registry,
-        pool=EnginePool(registry, provider=tiny_provider, warm=False),
+        pool=EnginePool(registry, provider=tiny_provider),
         sock=sock,
     )
     bus = telemetry_bus.get_bus()

@@ -93,7 +93,7 @@ def test_serving_at_fixed_rung_matches_golden_traces(
             max_batch=tiny_harness.batch_size,
         )
     )
-    pool = EnginePool(registry, provider=tiny_provider, warm=False)
+    pool = EnginePool(registry, provider=tiny_provider)
     images = tiny_harness.eval_images
     try:
         for rung in golden_fixture["rungs"]:

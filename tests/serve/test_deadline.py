@@ -92,9 +92,8 @@ def test_deadline_arithmetic_on_a_fake_clock():
 def test_batcher_expires_dead_requests_before_compute():
     clock = FakeClock()
     seen: list[object] = []
-    expired_hook: list[object] = []
 
-    def runner(payloads):
+    def runner(payloads, trace=None):
         seen.extend(payloads)
         return [f"ok:{payload}" for payload in payloads]
 
@@ -103,7 +102,6 @@ def test_batcher_expires_dead_requests_before_compute():
         max_batch=4,
         autostart=False,
         clock=clock,
-        on_expire=lambda request: expired_hook.append(request.payload),
     )
     alive = batcher.submit("alive")
     dead = batcher.submit(
@@ -118,7 +116,6 @@ def test_batcher_expires_dead_requests_before_compute():
     assert excinfo.value.late_by_s == pytest.approx(0.005)
     # The engine never saw the dead request -- cancelled before compute.
     assert seen == ["alive"]
-    assert expired_hook == ["dead"]
     assert batcher.expired_requests == 1
     assert batcher.expired_images == 1
     assert batcher.pending_images == 0
@@ -128,10 +125,12 @@ def test_batcher_expires_the_queue_head_without_anchoring_a_batch():
     clock = FakeClock()
     executed: list[list[object]] = []
 
+    def runner(payloads, trace=None):
+        executed.append(list(payloads))
+        return ["ok"] * len(payloads)
+
     batcher = DynamicBatcher(
-        lambda payloads: [executed.append(list(payloads)) or "ok"] * len(
-            payloads
-        ),
+        runner,
         max_batch=2,
         autostart=False,
         clock=clock,
@@ -151,7 +150,7 @@ def test_batcher_expires_the_queue_head_without_anchoring_a_batch():
 
 def test_live_deadlines_ride_through_unharmed():
     batcher = DynamicBatcher(
-        lambda payloads: [payload * 2 for payload in payloads],
+        lambda payloads, trace=None: [payload * 2 for payload in payloads],
         max_batch=8,
     )
     try:
@@ -184,7 +183,7 @@ def deadline_server(tiny_harness, tiny_provider):
             max_pending=32,
         )
     )
-    pool = EnginePool(registry, provider=tiny_provider, warm=False)
+    pool = EnginePool(registry, provider=tiny_provider)
     server = NBSMTServer(registry, pool=pool, clock=TickClock(0.020))
     server.build_endpoints()
     yield server
@@ -273,7 +272,7 @@ def test_default_deadline_comes_from_the_spec(tiny_harness, tiny_provider):
             default_deadline_ms=10.0,  # < one 20ms tick: everything is DOA
         )
     )
-    pool = EnginePool(registry, provider=tiny_provider, warm=False)
+    pool = EnginePool(registry, provider=tiny_provider)
     server = NBSMTServer(registry, pool=pool, clock=TickClock(0.020))
     server.build_endpoints()
     try:

@@ -146,12 +146,13 @@ def test_endpoint_payload_merge_across_shards():
 
 
 def test_recent_p99_tracks_the_sliding_window():
-    metrics = EndpointMetrics("m", recent_window=16)
-    for _ in range(16):
+    metrics = EndpointMetrics("m")
+    window = metrics.recent_latencies.maxlen
+    for _ in range(window):
         metrics.record_request(1.0)
     assert metrics.recent_p99() == pytest.approx(1.0)
     # The slow epoch ages out of the window; the signal recovers.
-    for _ in range(16):
+    for _ in range(window):
         metrics.record_request(0.01)
     assert metrics.recent_p99() == pytest.approx(0.01)
     # The cumulative histogram still remembers the slow epoch.
@@ -173,19 +174,21 @@ def test_recent_rates_not_capped_by_window_size():
     """A full sample buffer shrinks the effective window, not the rate."""
     import time
 
-    metrics = EndpointMetrics("m", latency_budget_ms=500.0, recent_window=16)
+    metrics = EndpointMetrics("m", latency_budget_ms=500.0)
     now = time.monotonic()
-    # 16 retained samples spanning only 0.1s -- a ~160 req/s endpoint.
-    # A fixed 10s denominator would report 1.6/s.
-    for index in range(16):
-        metrics.recent_latencies.append((now - 0.1 + index * 0.0066, 0.1, 1))
-    rates = metrics.recent_rates(window_s=10.0)
-    assert rates["requests_per_s"] > 100.0
+    # A full buffer spanning only 0.1s -- thousands of req/s.  A fixed 10s
+    # denominator would report a rate below 100/s.
+    window = metrics.recent_latencies.maxlen
+    step = 0.1 / window
+    for index in range(window):
+        metrics.recent_latencies.append((now - 0.1 + index * step, 0.1, 1))
+    rates = metrics.recent_rates()
+    assert rates["requests_per_s"] > 1000.0
     assert rates["goodput_images_per_s"] == rates["requests_per_s"]  # 1 image each
     # A sparse buffer (not full) keeps the honest wide window.
-    sparse = EndpointMetrics("m", recent_window=16)
+    sparse = EndpointMetrics("m")
     sparse.recent_latencies.append((now - 1.0, 0.1, 4))
-    sparse_rates = sparse.recent_rates(window_s=10.0)
+    sparse_rates = sparse.recent_rates()
     assert sparse_rates["requests_per_s"] == pytest.approx(0.1, rel=0.1)
     # Goodput is image-weighted: one 4-image request = 4 good images.
     assert sparse_rates["goodput_images_per_s"] == pytest.approx(0.4, rel=0.1)

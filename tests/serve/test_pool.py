@@ -29,7 +29,7 @@ def test_inline_replica_matches_direct_engine(
 ):
     replica = InlineReplica(tiny_spec(), tiny_provider, warm=True)
     images = tiny_harness.eval_images[:8]
-    logits, layer_stats = replica.infer(images)
+    logits, layer_stats, _ = replica.infer(images)
     replica.close()
     expected_logits, expected_stats = direct_reference(tiny_harness, images)
     assert np.array_equal(logits, expected_logits)
@@ -41,8 +41,8 @@ def test_inline_replica_matches_direct_engine(
 def test_inline_replica_stats_are_per_call(tiny_harness, tiny_provider):
     replica = InlineReplica(tiny_spec(), tiny_provider, warm=True)
     images = tiny_harness.eval_images[:4]
-    _, first = replica.infer(images)
-    _, second = replica.infer(images)
+    _, first, _ = replica.infer(images)
+    _, second, _ = replica.infer(images)
     replica.close()
     for name in first:
         assert first[name].as_dict() == second[name].as_dict()
@@ -61,7 +61,7 @@ def test_engine_durations_survive_a_wall_clock_stepping_backwards(
 
     monkeypatch.setattr(time, "time", stepping_back)
     trace: dict = {}
-    replica.infer_ex(images, trace=trace)
+    replica.infer(images, trace=trace)
     monkeypatch.undo()
     replica.close()
     engine = trace["engine"]
@@ -77,7 +77,7 @@ def test_throttled_spec_uses_throttle_assignment(tiny_harness, tiny_provider):
     slowed = layer_names[0]
     spec = tiny_spec(threads=4, slow_layers=(slowed,), slow_threads=2)
     replica = InlineReplica(spec, tiny_provider, warm=False)
-    assignment = replica.thread_assignment()
+    assignment = replica.harness.qmodel.thread_assignment()
     expected = throttle_assignment(tiny_harness.qmodel, 4, [slowed], 2)
     replica.close()
     assert assignment == expected
@@ -93,11 +93,11 @@ def test_replica_reasserts_config_after_harness_drift(
     """A shared harness reconfigured between requests is re-asserted."""
     replica = InlineReplica(tiny_spec(), tiny_provider, warm=True)
     images = tiny_harness.eval_images[:8]
-    expected_logits, _ = replica.infer(images)
+    expected_logits, _, _ = replica.infer(images)
     # Experiment code reconfigures the same harness behind the replica's
     # back: different engine, threads and reordering permutations.
     tiny_harness.evaluate_nbsmt(threads=4, policy="min", reorder=True)
-    logits, _ = replica.infer(images)
+    logits, _, _ = replica.infer(images)
     replica.close()
     assert np.array_equal(logits, expected_logits)
 
@@ -118,7 +118,7 @@ def test_pool_runner_splits_batches_per_request(
 ):
     registry = ServeRegistry()
     spec = registry.register(tiny_spec())
-    pool = EnginePool(registry, provider=tiny_provider, warm=False)
+    pool = EnginePool(registry, provider=tiny_provider)
     runner = pool.runner_for(spec.name)
     images = tiny_harness.eval_images[:6]
     payloads = [images[0:1], images[1:4], images[4:6]]
@@ -136,14 +136,14 @@ def test_replica_set_respawns_dead_forked_worker(tiny_harness, tiny_provider):
     replica = ForkedReplica(tiny_spec(), tiny_provider)
     replica_set = ReplicaSet([replica])
     images = tiny_harness.eval_images[:2]
-    expected, _ = replica_set.infer(images)
+    expected, _, _ = replica_set.infer(images)
     replica._process.kill()  # simulate an OOM-killed worker
     replica._process.join(timeout=10)
     with pytest.raises(RuntimeError, match="died"):
         replica_set.infer(images)
     # The slot was respawned: the next request succeeds and matches.
     try:
-        logits, _ = replica_set.infer(images)
+        logits, _, _ = replica_set.infer(images)
         assert np.array_equal(logits, expected)
     finally:
         replica_set.close()
@@ -154,11 +154,11 @@ def test_forked_replica_matches_inline(tiny_harness, tiny_provider):
     spec = tiny_spec()
     images = tiny_harness.eval_images[:6]
     inline = InlineReplica(spec, tiny_provider, warm=True)
-    expected_logits, expected_stats = inline.infer(images)
+    expected_logits, expected_stats, _ = inline.infer(images)
     inline.close()
     forked = ForkedReplica(spec, tiny_provider)
     try:
-        logits, layer_stats = forked.infer(images)
+        logits, layer_stats, _ = forked.infer(images)
     finally:
         forked.close()
     assert np.array_equal(logits, expected_logits)
@@ -177,7 +177,7 @@ def test_pool_builds_ladder_and_swaps_operating_points(
     spec = registry.register(
         tiny_spec(threads=4, ladder_rungs=3, slow_threads=2)
     )
-    pool = EnginePool(registry, provider=tiny_provider, warm=False)
+    pool = EnginePool(registry, provider=tiny_provider)
     ladder = pool.ladder(spec.name)
     assert len(ladder) == 3
     expected_ladder = operating_ladder(
@@ -191,7 +191,7 @@ def test_pool_builds_ladder_and_swaps_operating_points(
     for level in (0, 2, 1):
         point = pool.set_operating_point(spec.name, level)
         assert pool.current_level(spec.name) == level
-        logits, layer_stats, served_level = replica_set.infer_ex(images)
+        logits, layer_stats, served_level = replica_set.infer(images)
         assert served_level == level
         # Bit-identical to a direct engine run at this rung's assignment.
         engine = NBSMTEngine("S+A", collect_stats=True)
@@ -212,7 +212,7 @@ def test_pool_builds_ladder_and_swaps_operating_points(
 def test_static_endpoint_has_single_point_ladder(tiny_harness, tiny_provider):
     registry = ServeRegistry()
     spec = registry.register(tiny_spec(threads=2))
-    pool = EnginePool(registry, provider=tiny_provider, warm=False)
+    pool = EnginePool(registry, provider=tiny_provider)
     ladder = pool.ladder(spec.name)
     assert len(ladder) == 1
     assert ladder.top.threads == {
@@ -234,7 +234,7 @@ def test_operating_point_swap_is_atomic_per_batch(tiny_harness, tiny_provider):
     spec = registry.register(
         tiny_spec(threads=4, ladder_rungs=3, slow_threads=2)
     )
-    pool = EnginePool(registry, provider=tiny_provider, warm=True)
+    pool = EnginePool(registry, provider=tiny_provider)
     replica_set = pool.replica_set(spec.name)
     images = tiny_harness.eval_images[:4]
     levels_seen = []
@@ -242,7 +242,7 @@ def test_operating_point_swap_is_atomic_per_batch(tiny_harness, tiny_provider):
 
     def traffic():
         while not stop.is_set():
-            _, _, level = replica_set.infer_ex(images)
+            _, _, level = replica_set.infer(images)
             levels_seen.append(level)
 
     thread = threading.Thread(target=traffic, daemon=True)
@@ -270,21 +270,21 @@ def test_forked_replica_swaps_points_and_respawn_keeps_them(
     spec = registry.register(
         tiny_spec(threads=4, ladder_rungs=2, slow_threads=2)
     )
-    pool = EnginePool(registry, provider=tiny_provider, warm=False)
+    pool = EnginePool(registry, provider=tiny_provider)
     ladder = pool.ladder(spec.name)
     images = tiny_harness.eval_images[:3]
 
     replica = ForkedReplica(spec, tiny_provider)
     replica_set = ReplicaSet([replica])
     replica.set_operating_point(ladder[1])
-    logits_fast, _, level = replica_set.infer_ex(images)
+    logits_fast, _, level = replica_set.infer(images)
     assert level == 1
     # Kill the worker: the respawned replacement must still serve rung 1.
     replica._process.kill()
     replica._process.join(timeout=10)
     with pytest.raises(RuntimeError, match="died"):
-        replica_set.infer_ex(images)
-    logits_again, _, level = replica_set.infer_ex(images)
+        replica_set.infer(images)
+    logits_again, _, level = replica_set.infer(images)
     assert level == 1
     assert np.array_equal(logits_again, logits_fast)
     replica_set.close()
@@ -305,7 +305,7 @@ def test_point_swap_survives_a_dead_forked_worker(tiny_harness, tiny_provider):
     spec = registry.register(
         tiny_spec(threads=4, ladder_rungs=2, slow_threads=2)
     )
-    pool = EnginePool(registry, provider=tiny_provider, warm=False)
+    pool = EnginePool(registry, provider=tiny_provider)
     ladder = pool.ladder(spec.name)
     images = tiny_harness.eval_images[:2]
 
@@ -318,13 +318,13 @@ def test_point_swap_survives_a_dead_forked_worker(tiny_harness, tiny_provider):
     assert replica._point == ladder[1]  # intent recorded for the respawn
     # First infer discovers the death and poisons the slot...
     with pytest.raises(RuntimeError):
-        replica_set.infer_ex(images)
+        replica_set.infer(images)
     # ...and the respawned replacement serves at the swapped-to rung.
-    logits, _, level = replica_set.infer_ex(images)
+    logits, _, level = replica_set.infer(images)
     assert level == 1
     expected = InlineReplica(spec, tiny_provider, warm=False)
     expected.set_operating_point(ladder[1])
-    expected_logits, _ = expected.infer(images)
+    expected_logits, _, _ = expected.infer(images)
     expected.close()
     assert np.array_equal(logits, expected_logits)
     replica_set.close()
@@ -340,7 +340,7 @@ def test_adaptive_spec_with_no_slowable_layers_fails_loudly(
     spec = registry.register(
         tiny_spec(threads=2, ladder_rungs=3, slow_threads=2)
     )
-    pool = EnginePool(registry, provider=tiny_provider, warm=False)
+    pool = EnginePool(registry, provider=tiny_provider)
     with pytest.raises(ValueError, match="no layer is slowable"):
         pool.replica_set(spec.name)
     pool.close()
@@ -379,23 +379,19 @@ class _FakeClock:
         return self.now
 
 
-def _budget_set(clock, **overrides):
-    from repro.serve.pool import ReplicaSet
+def _budget_set(monkeypatch, clock, budget=3):
+    from repro.serve import pool
 
-    params = dict(
-        respawn_budget=3,
-        respawn_backoff_s=0.5,
-        respawn_backoff_max_s=30.0,
-        respawn_reset_s=60.0,
-        clock=clock,
-    )
-    params.update(overrides)
-    return ReplicaSet([_DeadStub()], **params)
+    monkeypatch.setattr(pool, "RESPAWN_BUDGET", budget)
+    monkeypatch.setattr(pool, "RESPAWN_BACKOFF_S", 0.5)
+    monkeypatch.setattr(pool, "RESPAWN_BACKOFF_MAX_S", 30.0)
+    monkeypatch.setattr(pool, "RESPAWN_RESET_S", 60.0)
+    return pool.ReplicaSet([_DeadStub()], clock=clock)
 
 
-def test_respawn_backoff_gates_the_fork_loop():
+def test_respawn_backoff_gates_the_fork_loop(monkeypatch):
     clock = _FakeClock()
-    replica_set = _budget_set(clock)
+    replica_set = _budget_set(monkeypatch, clock)
     dead = replica_set.replicas[0]
     fresh = replica_set._replace_if_dead(dead)
     assert fresh is not dead  # first attempt respawns immediately
@@ -410,11 +406,11 @@ def test_respawn_backoff_gates_the_fork_loop():
     assert replica_set.total_respawns == 2
 
 
-def test_respawn_budget_exhaustion_is_terminal_and_published():
+def test_respawn_budget_exhaustion_is_terminal_and_published(monkeypatch):
     from repro.telemetry import bus as telemetry_bus
 
     clock = _FakeClock()
-    replica_set = _budget_set(clock)
+    replica_set = _budget_set(monkeypatch, clock)
     subscription = telemetry_bus.get_bus().subscribe(
         types={"replica_respawn", "replica_failed"}
     )
@@ -443,9 +439,9 @@ def test_respawn_budget_exhaustion_is_terminal_and_published():
         telemetry_bus.get_bus().unsubscribe(subscription)
 
 
-def test_respawn_count_resets_after_quiet_period():
+def test_respawn_count_resets_after_quiet_period(monkeypatch):
     clock = _FakeClock()
-    replica_set = _budget_set(clock, respawn_budget=1)
+    replica_set = _budget_set(monkeypatch, clock, budget=1)
     replica = replica_set._replace_if_dead(replica_set.replicas[0])
     assert replica_set.total_respawns == 1
     # A long quiet stretch forgives the earlier crash: the budget refills.

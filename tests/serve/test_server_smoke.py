@@ -36,7 +36,7 @@ def smoke_server(tiny_harness, tiny_provider):
             latency_budget_ms=250.0,
         )
     )
-    pool = EnginePool(registry, provider=tiny_provider, warm=False)
+    pool = EnginePool(registry, provider=tiny_provider)
     server = NBSMTServer(registry, pool=pool)
     server.build_endpoints()
     yield server

@@ -32,7 +32,7 @@ OVERLOAD_SECONDS = 1.0
 def build_stack(tiny_provider, spec):
     registry = ServeRegistry()
     registry.register(spec)
-    pool = EnginePool(registry, provider=tiny_provider, warm=True)
+    pool = EnginePool(registry, provider=tiny_provider)
     metrics = EndpointMetrics(spec.name, batch_capacity=spec.max_batch)
     runner = pool.runner_for(spec.name, metrics=metrics)
     batcher = DynamicBatcher(
@@ -129,7 +129,7 @@ def test_http_server_end_to_end(tiny_harness, tiny_provider):
             max_pending=64,
         )
     )
-    pool = EnginePool(registry, provider=tiny_provider, warm=True)
+    pool = EnginePool(registry, provider=tiny_provider)
     server = NBSMTServer(registry, ServeConfig(port=0), pool=pool)
 
     loop = asyncio.new_event_loop()
@@ -256,7 +256,7 @@ def test_http_adaptive_endpoint_degrades_and_recovers(
             max_pending=2,  # tiny admission budget: overload sheds fast
         )
     )
-    pool = EnginePool(registry, provider=tiny_provider, warm=True)
+    pool = EnginePool(registry, provider=tiny_provider)
     monkeypatch.setattr(serve_server, "_QOS_TICK_S", 0.05)
     monkeypatch.setattr(
         serve_server, "_QOS_CONFIG",

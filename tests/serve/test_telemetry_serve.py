@@ -38,7 +38,7 @@ def make_spec(**overrides):
 def telemetry_server(tiny_provider):
     registry = ServeRegistry()
     registry.register(make_spec())
-    pool = EnginePool(registry, provider=tiny_provider, warm=False)
+    pool = EnginePool(registry, provider=tiny_provider)
     server = NBSMTServer(registry, pool=pool)
     server.build_endpoints()
     yield server
@@ -167,7 +167,7 @@ def test_transitions_publish_rung_events(telemetry_server):
 def test_http_sse_streams_rung_transitions(tiny_provider, tiny_harness):
     registry = ServeRegistry()
     registry.register(make_spec())
-    pool = EnginePool(registry, provider=tiny_provider, warm=False)
+    pool = EnginePool(registry, provider=tiny_provider)
     server = NBSMTServer(registry, ServeConfig(port=0), pool=pool)
 
     async def main():
@@ -242,7 +242,7 @@ def test_alert_engine_wired_into_server_and_history_restart(
     def build():
         registry = ServeRegistry()
         registry.register(make_spec())
-        pool = EnginePool(registry, provider=tiny_provider, warm=False)
+        pool = EnginePool(registry, provider=tiny_provider)
         server = NBSMTServer(
             registry,
             ServeConfig(telemetry_dir=str(tmp_path), alert_rules=(rule,)),

@@ -51,8 +51,7 @@ def _running_server(tiny_provider, tmp_path, *, fork_workers=0, **kwargs):
     registry = ServeRegistry()
     registry.register(_spec())
     pool = EnginePool(
-        registry, provider=tiny_provider, warm=True,
-        fork_workers=fork_workers,
+        registry, provider=tiny_provider, fork_workers=fork_workers,
     )
     server = NBSMTServer(
         registry,
