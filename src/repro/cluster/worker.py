@@ -118,7 +118,9 @@ class SweepHub:
         #: analog of serving's ``X-Trace-Id`` propagation.
         self.trace_id = trace_id
         self.root_span_id = root_span_id
+        # The wall clock places the root span; the monotonic clock times it.
         self._started_wall = time.time()
+        self._started = time.monotonic()
 
     @classmethod
     def create(
@@ -232,7 +234,7 @@ class SweepHub:
                 parent_id=None,
                 name="sweep_hub",
                 start=self._started_wall,
-                duration_ms=(time.time() - self._started_wall) * 1000.0,
+                duration_ms=(time.monotonic() - self._started) * 1000.0,
                 status="ok",
                 offered_groups=self.offered_groups,
                 offered_points=self.offered_points,
@@ -302,9 +304,14 @@ class RemoteWorker:
         lease: dict,
         points: int,
         started_wall: float,
+        started: float,
         status: str = "ok",
     ) -> None:
         """One ``span`` event per evaluated lease group (hub trace child).
+
+        ``started_wall`` (``time.time()``) places the span and ``started``
+        (``time.monotonic()``) times it, so a stepped wall clock cannot
+        make its duration negative.
 
         Published on the local bus *after* the spool sink is attached, so
         it streams through the :class:`RemoteSpoolWriter` into the
@@ -322,7 +329,7 @@ class RemoteWorker:
             parent_id=str(parent_span) if parent_span else None,
             name="remote_lease",
             start=started_wall,
-            duration_ms=(time.time() - started_wall) * 1000.0,
+            duration_ms=(time.monotonic() - started) * 1000.0,
             status=status,
             lease=lease.get("lease"),
             points=points,
@@ -380,7 +387,7 @@ class RemoteWorker:
                 points = [
                     point_from_spec(item["spec"]) for item in lease["items"]
                 ]
-                lease_started = time.time()
+                lease_wall, lease_started = time.time(), time.monotonic()
                 try:
                     for point in points:
                         context.evaluate(point)
@@ -388,7 +395,7 @@ class RemoteWorker:
                     self.failed_groups += 1
                     self._publish_lease_span(
                         trace_id, parent_span, lease, len(points),
-                        lease_started, status="error",
+                        lease_wall, lease_started, status="error",
                     )
                     try:
                         self.transport.lease_fail(lease["lease"])
@@ -398,7 +405,8 @@ class RemoteWorker:
                 self.completed_points += len(points)
                 self.completed_groups += 1
                 self._publish_lease_span(
-                    trace_id, parent_span, lease, len(points), lease_started
+                    trace_id, parent_span, lease, len(points), lease_wall,
+                    lease_started,
                 )
                 try:
                     self.transport.lease_done(

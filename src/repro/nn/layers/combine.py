@@ -65,6 +65,9 @@ class ResidualBlock(Module):
             raise ValueError(
                 f"residual shapes differ: body {main.shape} vs shortcut {skip.shape}"
             )
+        if not self.training and _owns_sum_buffer(main, x, skip):
+            main += skip
+            return self.relu(main)
         return self.relu(main + skip)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -75,6 +78,22 @@ class ResidualBlock(Module):
         else:
             grad_skip = grad_sum
         return grad_main + grad_skip
+
+
+def _owns_sum_buffer(main: np.ndarray, x: np.ndarray, skip: np.ndarray) -> bool:
+    """Whether ``main += skip`` equals ``main + skip`` and clobbers nothing.
+
+    The body's output must be a fresh array of its own (not the block's
+    input, not a view), of the sum's dtype, and laid out like ``skip``, so
+    that the sum keeps the memory order ``main + skip`` would allocate.
+    """
+    return (
+        main is not x
+        and main.flags.owndata
+        and main.flags.writeable
+        and main.dtype == np.result_type(main, skip)
+        and main.strides == skip.strides
+    )
 
 
 class InceptionBlock(Concat):

@@ -114,19 +114,19 @@ class Conv2d(Module):
         prepare_input = getattr(self.matmul_fn, "prepare_input", None)
         if prepare_input is not None and not self.training:
             x = prepare_input(x)
+        # An eval-mode forward keeps no columns for a backward pass.
+        self._cache = {}
         if self.groups == 1:
             cols, (out_h, out_w) = F.im2col(
                 x, self.kernel_size, self.stride, self.padding
             )
             out_cols = self.matmul_fn(cols, self.weight_matrix())
-            self._cache = {"x_shape": x.shape, "cols": cols, "out_hw": (out_h, out_w)}
+            if self.training:
+                self._cache = {"x_shape": x.shape, "cols": cols}
         else:
             out_cols, out_h, out_w, group_cols = self._grouped_forward(x)
-            self._cache = {
-                "x_shape": x.shape,
-                "group_cols": group_cols,
-                "out_hw": (out_h, out_w),
-            }
+            if self.training:
+                self._cache = {"x_shape": x.shape, "group_cols": group_cols}
         if self.bias is not None:
             out_cols = out_cols + self.bias.value
         return F.cols_to_feature_map(out_cols, batch, out_h, out_w)
@@ -137,7 +137,7 @@ class Conv2d(Module):
         group_in = self.in_channels // self.groups
         group_out = self.out_channels // self.groups
         outputs = []
-        group_cols = []
+        group_cols = []  # kept for backward, so filled in training only
         out_h = out_w = 0
         for group in range(self.groups):
             x_group = x[:, group * group_in : (group + 1) * group_in]
@@ -150,10 +150,13 @@ class Conv2d(Module):
                 .T
             )
             outputs.append(self.matmul_fn(cols, weight_group))
-            group_cols.append(cols)
+            if self.training:
+                group_cols.append(cols)
         return np.concatenate(outputs, axis=1), out_h, out_w, group_cols
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        if not self._cache:
+            raise self.no_backward_state()
         grad_cols_out = F.feature_map_to_cols(grad_out)
         if self.bias is not None:
             self.bias.grad += grad_cols_out.sum(axis=0)

@@ -52,10 +52,12 @@ class Linear(Module):
         out = self.matmul_fn(x, self.weight_matrix())
         if self.bias is not None:
             out = out + self.bias.value
-        self._cache = {"x": x}
+        self._cache = {"x": x} if self.training else {}
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        if not self._cache:
+            raise self.no_backward_state()
         x = self._cache["x"]
         self.weight.grad += grad_out.T @ x
         if self.bias is not None:

@@ -52,14 +52,23 @@ class BatchNorm2d(Module):
             var = self.running_var
 
         inv_std = 1.0 / np.sqrt(var + self.eps)
+        if not self.training:
+            # The same float operations in the same order on one buffer.
+            self._cache = {}
+            out = x - mean[None, :, None, None]
+            out *= inv_std[None, :, None, None]
+            np.multiply(self.gamma.value[None, :, None, None], out, out=out)
+            out += self.beta.value[None, :, None, None]
+            return out.astype(np.float32, copy=False)
         x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
         out = self.gamma.value[None, :, None, None] * x_hat
         out = out + self.beta.value[None, :, None, None]
-        if self.training:
-            self._cache = {"x_hat": x_hat, "inv_std": inv_std}
+        self._cache = {"x_hat": x_hat, "inv_std": inv_std}
         return out.astype(np.float32)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        if not self._cache:
+            raise self.no_backward_state()
         x_hat = self._cache["x_hat"]
         inv_std = self._cache["inv_std"]
         batch, _, height, width = grad_out.shape

@@ -19,6 +19,9 @@ class MaxPool2d(Module):
         self._cache: dict[str, object] = {}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        if not self.training:
+            self._cache = {}
+            return self._max_over_taps(x)
         batch, channels, height, width = x.shape
         merged = x.reshape(batch * channels, 1, height, width)
         cols, (out_h, out_w) = F.im2col(
@@ -26,15 +29,50 @@ class MaxPool2d(Module):
         )
         argmax = cols.argmax(axis=1)
         out = cols[np.arange(cols.shape[0]), argmax]
-        self._cache = {
-            "x_shape": x.shape,
-            "cols_shape": cols.shape,
-            "argmax": argmax,
-            "out_hw": (out_h, out_w),
-        }
+        self._cache = {"x_shape": x.shape, "cols_shape": cols.shape, "argmax": argmax}
         return out.reshape(batch, channels, out_h, out_w)
 
+    def _max_over_taps(self, x: np.ndarray) -> np.ndarray:
+        """The eval-mode forward: an elementwise max over the strided taps.
+
+        The taps come in im2col's (KH, KW) order over the same zero-padded
+        map.  Each is the first operand of ``np.maximum``, whose loops (like
+        the x86 max instruction) return the second operand for two equal
+        zeros, so a -0.0/+0.0 tie keeps the earlier tap, as ``argmax`` does;
+        ``tests/nn/test_eval_paths.py`` pins this.
+        """
+        batch, channels, height, width = x.shape
+        kernel, stride, padding = self.kernel_size, self.stride, self.padding
+        out_h = F.conv_output_size(height, kernel, stride, padding)
+        out_w = F.conv_output_size(width, kernel, stride, padding)
+        padded = x
+        if padding:
+            padded = np.zeros(
+                (batch, channels, height + 2 * padding, width + 2 * padding),
+                dtype=x.dtype,
+            )
+            padded[:, :, padding : padding + height, padding : padding + width] = x
+        out = None
+        for kh in range(kernel):
+            for kw in range(kernel):
+                tap = padded[
+                    :,
+                    :,
+                    kh : kh + stride * out_h : stride,
+                    kw : kw + stride * out_w : stride,
+                ]
+                if out is None:
+                    # C order, as the training path returns: a later
+                    # reduction (global average pooling) sums in memory
+                    # order, so the layout is part of the result.
+                    out = tap.copy()
+                else:
+                    np.maximum(tap, out, out=out)
+        return out
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        if not self._cache:
+            raise self.no_backward_state()
         batch, channels, height, width = self._cache["x_shape"]
         cols_shape = self._cache["cols_shape"]
         argmax = self._cache["argmax"]

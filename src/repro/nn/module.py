@@ -4,7 +4,9 @@ The design intentionally mirrors a minimal subset of ``torch.nn``: modules
 auto-register child modules and parameters assigned as attributes, expose
 ``named_modules`` / ``parameters`` for traversal, and carry a ``training``
 flag.  Backward passes are hand-written per layer; each module caches what it
-needs during ``forward`` and releases it after ``backward``.
+needs during a training-mode ``forward`` and releases it after ``backward``.
+An eval-mode ``forward`` keeps no backward state, so a ``backward`` after it
+raises :meth:`Module.no_backward_state`.
 """
 
 from __future__ import annotations
@@ -62,6 +64,13 @@ class Module:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
+
+    def no_backward_state(self) -> RuntimeError:
+        """The error ``backward`` raises without a training-mode forward."""
+        return RuntimeError(
+            f"{type(self).__name__}.backward needs a training-mode forward "
+            "first (an eval-mode forward keeps no backward state)"
+        )
 
     # -- traversal -----------------------------------------------------------
     def children(self) -> Iterator["Module"]:

@@ -68,7 +68,9 @@ def quantize_activations(
     """
     if bits > 8:
         raise ValueError(f"activations are stored as uint8; got bits={bits}")
-    q = np.clip(np.rint(x / scale), 0, 2**bits - 1)
+    q = x / scale
+    np.rint(q, out=q)
+    np.clip(q, 0, 2**bits - 1, out=q)
     return QuantizedTensor(q.astype(np.uint8), scale)
 
 
@@ -91,6 +93,7 @@ def dequantize(
     ``accumulators`` has shape ``(M, N)``; each column ``n`` is scaled by the
     activation scale times the weight scale of output channel ``n``.
     """
-    return (accumulators.astype(np.float64) * act_scale * weight_scales[None, :]).astype(
-        np.float32
-    )
+    out = accumulators.astype(np.float64)
+    out *= act_scale
+    out *= weight_scales[None, :]
+    return out.astype(np.float32)

@@ -290,16 +290,22 @@ class DynamicBatcher:
                     return
                 first = item
                 pending = []
-            # The head request may have died waiting (carry-over included:
-            # it waited out a whole previous batch).  Expire it here, ahead
-            # of assembly, so a dead head never anchors a batch.
-            if self._expired(first):
-                self._expire(first)
-                carry = pending
-                continue
-            batch, images, carry = self._collect(first, pending)
-            if batch:
-                self._run_batch(batch, images)
+            carry = self._serve_next(first, pending)
+
+    def _serve_next(
+        self, first: BatchRequest, pending: list[BatchRequest]
+    ) -> list[BatchRequest]:
+        """Run the batch headed by ``first``; return the requests it carries."""
+        # The head request may have died waiting (carry-over included: it
+        # waited out a whole previous batch).  Expire it here, ahead of
+        # assembly, so a dead head never anchors a batch.
+        if self._expired(first):
+            self._expire(first)
+            return pending
+        batch, images, carry = self._collect(first, pending)
+        if batch:
+            self._run_batch(batch, images)
+        return carry
 
     def _collect(
         self, first: BatchRequest, pending: list[BatchRequest] | None = None
@@ -492,21 +498,10 @@ class DynamicBatcher:
             if item is not _STOP:
                 leftovers.append(item)
         if self._drain:
+            # Packed as the workers pack (earliest deadline first); the
+            # queue is empty now, so _collect gathers from the leftovers.
             while leftovers:
-                chunk: list[BatchRequest] = []
-                images = 0
-                while leftovers and (
-                    not chunk or images + leftovers[0].size <= self.max_batch
-                ):
-                    request = leftovers.pop(0)
-                    if self._expired(request):
-                        # Draining serves the waiting, not the dead.
-                        self._expire(request)
-                        continue
-                    chunk.append(request)
-                    images += request.size
-                if chunk:
-                    self._run_batch(chunk, images)
+                leftovers = self._serve_next(leftovers[0], leftovers[1:])
         else:
             for request in leftovers:
                 with self._lock:

@@ -107,8 +107,10 @@ class LatencyHistogram:
 
     def merge_payload(self, payload: dict) -> None:
         """Fold another histogram's payload in (same bucket geometry)."""
-        if len(payload["counts"]) != len(self.counts) or not math.isclose(
-            payload["ratio"], self.ratio
+        if (
+            len(payload["counts"]) != len(self.counts)
+            or not math.isclose(payload["ratio"], self.ratio)
+            or not math.isclose(payload["low"], self.low)
         ):
             raise ValueError("histogram payloads have different geometries")
         for index, bucket_count in enumerate(payload["counts"]):

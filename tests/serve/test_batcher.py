@@ -276,3 +276,43 @@ def test_untraced_batch_calls_runner_with_trace_none():
     assert batcher.submit("x").result(timeout=5) == "x"
     batcher.close()
     assert calls == [None]
+
+
+def test_draining_close_packs_leftovers_as_the_workers_do():
+    """A close(drain=True) of a never-started batcher packs earliest
+    deadline first, like the worker path, and still expires the dead."""
+    from repro.serve.deadline import Deadline, DeadlineExceeded
+
+    now = 1000.0
+    requests = [  # (payload, images, deadline): x and y are already dead
+        ("a", 1, None), ("b", 2, now + 50.0), ("x", 1, now - 1.0),
+        ("c", 1, now + 5.0), ("d", 2, now + 20.0), ("y", 1, now - 2.0),
+        ("e", 1, None), ("f", 3, now + 1.0),
+    ]
+
+    def serve(start_workers: bool):
+        runner = RecordingRunner()
+        batcher = DynamicBatcher(
+            runner, max_batch=4, autostart=False, clock=lambda: now
+        )
+        futures = {
+            payload: batcher.submit(
+                payload, size=size,
+                deadline=Deadline(at) if at is not None else None,
+            )
+            for payload, size, at in requests
+        }
+        if start_workers:
+            batcher.start()
+        batcher.close(drain=True)
+        return runner.batches, batcher, futures
+
+    drained, drained_batcher, futures = serve(start_workers=False)
+    worked, worked_batcher, _ = serve(start_workers=True)
+    assert drained == worked == [["c", "b", "a"], ["f"], ["d", "e"]]
+    assert drained_batcher.expired_requests == worked_batcher.expired_requests == 2
+    assert drained_batcher.pending_images == 0
+    for dead in ("x", "y"):
+        with pytest.raises(DeadlineExceeded):
+            futures[dead].result(timeout=5)
+    assert futures["f"].result(timeout=5) == "ff"

@@ -104,6 +104,19 @@ def test_histogram_payload_merge_is_exact():
     assert merged_snapshot == reference_snapshot
 
 
+def test_histogram_merge_rejects_a_peer_with_another_low():
+    ours, peer = LatencyHistogram(), LatencyHistogram()
+    peer.record(0.01)
+    payload = peer.to_payload()
+    payload["low"] = ours.low * 2
+    # Everything else about the geometry matches: only ``low`` differs.
+    assert len(payload["counts"]) == len(ours.counts)
+    assert payload["ratio"] == ours.ratio
+    with pytest.raises(ValueError, match="different geometries"):
+        ours.merge_payload(payload)
+    assert ours.count == 0 and sum(ours.counts) == 0
+
+
 def test_endpoint_payload_merge_across_shards():
     from repro.serve.metrics import (
         EndpointMetrics,
